@@ -75,9 +75,18 @@ let bench_row ~(experiment : string) (fields : (string * jv) list) : string =
   row
 
 (** Write an experiment's accumulated rows (plus header fields) to its
-    committed [BENCH_*.json] file. *)
+    committed [BENCH_*.json] file.  A [--quick] run (header field
+    ["quick"] true) writes [BENCH_*.quick.json] beside it instead
+    (gitignored), so a smoke run never overwrites the committed full
+    run. *)
 let write_bench_json ~(file : string) ~(experiment : string)
     (header : (string * jv) list) (rows : string list) : unit =
+  let file =
+    if List.mem ("quick", B true) header then
+      Filename.remove_extension file ^ ".quick.json"
+    else file
+  in
+  pr "(wrote %s)@." file;
   let oc = open_out file in
   Printf.fprintf oc "{%s,\"rows\":[\n%s\n]}\n"
     (String.concat ","
@@ -1137,7 +1146,7 @@ let runtime ?(quick = false) () =
   write_bench_json ~file:"BENCH_RUNTIME.json" ~experiment:"runtime"
     [ ("quick", B quick); ("aggregate_speedup", Fd (aggregate, 2)) ]
     (List.rev !rows);
-  pr "(wrote BENCH_RUNTIME.json; both modes replay the identical \
+  pr "(both modes replay the identical \
       schedule and@. must produce bit-identical per-replica state \
       digests — the fast paths are@. observably free.)@."
 
@@ -1376,7 +1385,7 @@ let scale ?(quick = false) () =
       ("theta", F theta);
     ]
     (List.rev !rows);
-  pr "(wrote BENCH_SCALE.json; the sharded and flat layouts replay the \
+  pr "(the sharded and flat layouts replay the \
       identical@. batch stream and must digest bit-identically — \
       sharding is observably free.)@."
 
@@ -1590,8 +1599,7 @@ let durability ?(quick = false) () =
       ("wal_ops", I n_ops);
       ("fuzz_runs_per_app", I runs);
     ]
-    (List.rev !rows);
-  pr "(wrote BENCH_DURABILITY.json)@."
+    (List.rev !rows)
 
 (* ------------------------------------------------------------------ *)
 (* Simulation fuzzing smoke (DESIGN.md §7)                             *)
@@ -1786,7 +1794,7 @@ let parallel ?(quick = false) () =
        assertions were still enforced)@."
       cores;
   pr
-    "@.(wrote BENCH_PARALLEL.json; every jobs level produced bit-identical\
+    "@.(every jobs level produced bit-identical\
      @. reports and failing-seed sets — parallelism is observably free.\
      @. host_cores=%d: speedups only materialize when the host grants more\
      @. cores than 1.)@."
@@ -1918,7 +1926,7 @@ let incr ?(quick = false) () =
     ]
     (List.rev !rows);
   pr
-    "@.(wrote BENCH_INCR.json; warm re-analysis after a single-operation\
+    "@.(warm re-analysis after a single-operation\
      @. edit solved %.1f%% of the from-scratch queries (bound 20%%), with\
      @. reports bit-identical to from-scratch at jobs=1 and jobs=4.)@."
     (100. *. total_ratio)
@@ -2224,7 +2232,7 @@ let consistency ?(quick = false) () =
     ]
     (rows @ interval_rows @ fuzz_rows);
   pr
-    "@.(wrote BENCH_CONSISTENCY.json; strong reads %.1fx the latency of\
+    "@.(strong reads %.1fx the latency of\
      @. bounded@@1000ms; 0 interval escapes; %d read-oracle schedules\
      @. per app, 0 failures.)@."
     speedup (fuzz_runs)
@@ -3099,7 +3107,7 @@ let escrow ?(quick = false) () =
     ]
     (open_rows @ closed_rows @ headroom_rows @ plan_rows @ fuzz_rows);
   pr
-    "@.(wrote BENCH_ESCROW.json; planned placement cut blocking misses\
+    "@.(planned placement cut blocking misses\
      @. %.1fx vs reactive at theta=%.2f; planned p99 %.2fms < strong\
      @. %.2fms; every conservation audit passed.)@."
     miss_ratio theta planned_p99 strong_p99

@@ -159,13 +159,30 @@ let add_player (_ : t) (p : string) : Config.op_exec =
           aw_add ~payload:("info:" ^ p) tx k_players p;
           true))
 
+(* The tournaments whose enrolment read can matter to [rem_player p]:
+   a read finds [p] only where the set holds it, and emits compensation
+   ops only where the set is over its bound — every other tournament's
+   read is a no-op.  Taken from the replica's membership index over the
+   ["enrolled:"] sets, restricted to live tournaments and sorted as
+   [Awset.elements] lists them, so the reads happen in the order a scan
+   of every tournament would do them. *)
+let rem_player_candidates tx (rep : Replica.t) (p : string) : string list =
+  let prefix = k_enrolled "" in
+  let n = String.length prefix in
+  let tourns = aw_get tx k_tournaments in
+  List.sort_uniq String.compare
+    (Replica.holders rep ~prefix p @ Replica.over_bound rep ~prefix)
+  |> List.filter_map (fun key ->
+         let tname = String.sub key n (String.length key - n) in
+         if Awset.mem tname tourns then Some tname else None)
+
 let rem_player (app : t) (p : string) : Config.op_exec =
   mk "rem_player" true [ ex ("player:" ^ p) ] (fun rep ->
       write_txn rep (fun tx ->
           let enrolled_somewhere =
             List.exists
               (fun tname -> List.mem p (fst (enrolled_read app tx tname)))
-              (Awset.elements (aw_get tx k_tournaments))
+              (rem_player_candidates tx rep p)
           in
           if Awset.mem p (aw_get tx k_players) && not enrolled_somewhere
           then begin

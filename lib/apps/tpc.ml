@@ -83,18 +83,11 @@ let add_item (app : t) (i : string) : Config.op_exec =
    the tournament's [rem_player], removal checks its precondition
    against local state (§2.2) and aborts when it would break
    referential integrity sequentially; IPA's touch repair only has to
-   cover the {e concurrent} new_order it could not have seen. *)
+   cover the {e concurrent} new_order it could not have seen.  The
+   replica's membership index over the ["lines:"] sets answers it
+   without visiting the other order lines. *)
 let locally_referenced (rep : Replica.t) (i : string) : bool =
-  Replica.fold_data rep
-    (fun key obj acc ->
-      acc
-      || String.length key > 6
-         && String.sub key 0 6 = "lines:"
-         &&
-         match obj with
-         | Obj.O_awset lines -> Awset.mem i lines
-         | _ -> false)
-    false
+  Replica.held rep ~prefix:(k_lines "") i
 
 let rem_item (_ : t) (i : string) : Config.op_exec =
   mk "rem_item" true [ (k_items, Config.Exclusive) ] (fun rep ->

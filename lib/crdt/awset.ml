@@ -191,18 +191,45 @@ let pp ppf (s : t) =
 (** Number of entries held, including removed-but-remembered ones. *)
 let metadata_size (s : t) : int = EM.cardinal s
 
+(* a removed entry (no live add-dot) whose payload write is causally
+   stable: nothing can need it any more *)
+let reclaimable ~(stable : Vclock.t) (en : entry) : bool =
+  DS.is_empty en.dots
+  &&
+  match en.pl with Some (d, _) -> Vclock.contains stable d | None -> true
+
 (** [gc ~stable s] forgets removed entries whose payload write is
     causally stable (paper §4.2.1: removed elements are kept for the
     touch operation and garbage-collected with stability information).
     Once the removal is stable, no concurrent touch that would need the
     payload can still be in flight. *)
 let gc ~(stable : Vclock.t) (s : t) : t =
-  EM.filter
-    (fun _ en ->
-      not
-        (DS.is_empty en.dots
-        &&
-        match en.pl with
-        | Some (d, _) -> Vclock.contains stable d
-        | None -> true))
-    s
+  EM.filter (fun _ en -> not (reclaimable ~stable en)) s
+
+(** Every element with an entry: members and removed-but-remembered
+    ones, sorted. *)
+let entries (s : t) : string list = List.map fst (EM.bindings s)
+
+(** Elements with an entry but no live add-dot — the entries {!gc} can
+    reclaim once their payload write is stable. *)
+let removed_elements (s : t) : string list =
+  EM.fold (fun e en acc -> if DS.is_empty en.dots then e :: acc else acc) s []
+
+(** The elements an op can leave without a live add-dot: the only
+    entries whose {!gc} verdict an op can turn to "reclaim". *)
+let removed_by (o : op) : string list =
+  match o with
+  | Add _ | Touch _ -> []
+  | Remove { elt; _ } -> [ elt ]
+  | Remove_where { observed; _ } -> List.map fst observed
+
+(** One element's share of {!gc}: [`Reclaimed s'] when its entry is
+    removed and its payload write stable ([s'] forgets it), [`Pending]
+    when removed but the payload write is not yet stable, [`Live] when
+    there is nothing to reclaim (a live member, or no entry at all). *)
+let gc_elt ~(stable : Vclock.t) (s : t) (e : string) :
+    [ `Reclaimed of t | `Pending | `Live ] =
+  match EM.find_opt e s with
+  | Some en when DS.is_empty en.dots ->
+      if reclaimable ~stable en then `Reclaimed (EM.remove e s) else `Pending
+  | _ -> `Live

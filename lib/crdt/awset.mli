@@ -84,4 +84,24 @@ val metadata_size : t -> int
     the payload can still be in flight. *)
 val gc : stable:Vclock.t -> t -> t
 
+(** Every element with an entry — members and removed-but-remembered
+    ones — sorted. *)
+val entries : t -> string list
+
+(** Elements with an entry but no live add-dot: the entries {!gc} may
+    reclaim. *)
+val removed_elements : t -> string list
+
+(** The elements an op can leave without a live add-dot (its removes);
+    no other op can make an entry reclaimable. *)
+val removed_by : op -> string list
+
+(** One element's share of {!gc}: [`Reclaimed s'] when the entry is
+    removed and its payload write stable ([s'] forgets it), [`Pending]
+    when removed but not yet stable, [`Live] when there is nothing to
+    reclaim (a live member, or no entry).  Folding it over
+    {!removed_elements} gives {!gc}. *)
+val gc_elt :
+  stable:Vclock.t -> t -> string -> [ `Reclaimed of t | `Pending | `Live ]
+
 val pp : Format.formatter -> t -> unit

@@ -198,6 +198,26 @@ let metadata_size (s : t) : int =
     (fun _ en acc -> acc + List.length en.adds + List.length en.removes)
     s.entries (List.length s.wild)
 
+(* one entry under the stable barriers [stable_barrier] and the stable
+   wildcard barriers [wild_stable]: the stable per-element barriers
+   go, and so do the adds any stable barrier permanently masks (an add
+   is masked unless the barrier happened before it).  [None] when
+   nothing is left to remember *)
+let gc_entry ~stable_barrier ~wild_stable (e : string) (en : entry) :
+    entry option =
+  let removes_live, removes_stable =
+    List.partition (fun vv -> not (stable_barrier vv)) en.removes
+  in
+  let masked a =
+    List.exists (fun vv -> not (Vclock.leq vv a.avv)) removes_stable
+    || List.exists
+         (fun (sel, vv) -> matches sel e && not (Vclock.leq vv a.avv))
+         wild_stable
+  in
+  let adds = List.filter (fun a -> not (masked a)) en.adds in
+  if adds = [] && removes_live = [] && en.pl = None then None
+  else Some { en with adds; removes = removes_live }
+
 (** [gc ~stable s] discards remove barriers that are causally stable
     (every replica has seen them) together with the add records they
     permanently mask.  Safe because any add not yet delivered anywhere
@@ -205,27 +225,57 @@ let metadata_size (s : t) : int =
     visibility of every element is unchanged. *)
 let gc ~(stable : Vclock.t) (s : t) : t =
   let stable_barrier vv = Vclock.leq vv stable in
-  (* wild barriers that remain *)
   let wild_live, wild_stable =
     List.partition (fun (_, vv) -> not (stable_barrier vv)) s.wild
   in
-  let entries =
-    EM.filter_map
-      (fun e en ->
-        let removes_live, removes_stable =
-          List.partition (fun vv -> not (stable_barrier vv)) en.removes
+  {
+    entries = EM.filter_map (gc_entry ~stable_barrier ~wild_stable) s.entries;
+    wild = wild_live;
+  }
+
+(** Elements whose entry holds a per-element remove barrier, sorted. *)
+let barrier_elements (s : t) : string list =
+  EM.fold (fun e en acc -> if en.removes = [] then acc else e :: acc) s.entries []
+  |> List.rev
+
+(** Does the set hold a wildcard barrier? *)
+let has_wild (s : t) : bool = s.wild <> []
+
+(** Is some wildcard barrier of [s] causally stable? *)
+let wild_stable ~(stable : Vclock.t) (s : t) : bool =
+  List.exists (fun (_, vv) -> Vclock.leq vv stable) s.wild
+
+(** The barrier an op installs: on one element, or a wildcard. *)
+let barrier_of_op (o : op) : [ `Elt of string | `Wild ] option =
+  match o with
+  | Add _ -> None
+  | Remove { elt; _ } -> Some (`Elt elt)
+  | Remove_where _ -> Some `Wild
+
+(** One element's share of {!gc}, for a set none of whose wildcard
+    barriers is stable (otherwise use {!gc}): drops [e]'s stable
+    barriers and the adds they mask.  Returns the new set, the number of
+    metadata records freed, and whether [e] still holds a barrier that
+    is not yet stable. *)
+let gc_elt ~(stable : Vclock.t) (s : t) (e : string) : t * int * bool =
+  match EM.find_opt e s.entries with
+  | None -> (s, 0, false)
+  | Some en ->
+      let stable_barrier vv = Vclock.leq vv stable in
+      let barred = not (List.for_all stable_barrier en.removes) in
+      if not (List.exists stable_barrier en.removes) then (s, 0, barred)
+      else
+        let en' = gc_entry ~stable_barrier ~wild_stable:[] e en in
+        let kept =
+          match en' with
+          | None -> 0
+          | Some en' -> List.length en'.adds + List.length en'.removes
         in
-        (* an add masked by a stable barrier is permanently invisible *)
-        let masked a =
-          List.exists (fun vv -> not (Vclock.leq vv a.avv)) removes_stable
-          || List.exists
-               (fun (sel, vv) ->
-                 matches sel e && not (Vclock.leq vv a.avv))
-               wild_stable
+        let entries =
+          match en' with
+          | None -> EM.remove e s.entries
+          | Some en' -> EM.add e en' s.entries
         in
-        let adds = List.filter (fun a -> not (masked a)) en.adds in
-        if adds = [] && removes_live = [] && en.pl = None then None
-        else Some { en with adds; removes = removes_live })
-      s.entries
-  in
-  { entries; wild = wild_live }
+        ( { s with entries },
+          List.length en.adds + List.length en.removes - kept,
+          barred )

@@ -58,4 +58,24 @@ val metadata_size : t -> int
     permanently mask; observable state is unchanged. *)
 val gc : stable:Vclock.t -> t -> t
 
+(** Elements whose entry holds a per-element remove barrier, sorted. *)
+val barrier_elements : t -> string list
+
+(** Does the set hold a wildcard barrier? *)
+val has_wild : t -> bool
+
+(** Is some wildcard barrier of the set causally stable? *)
+val wild_stable : stable:Vclock.t -> t -> bool
+
+(** The barrier an op installs: on one element, or a wildcard; adds
+    install none. *)
+val barrier_of_op : op -> [ `Elt of string | `Wild ] option
+
+(** One element's share of {!gc}, for a set none of whose wildcard
+    barriers is stable (otherwise use {!gc}): drops the element's
+    stable barriers and the adds they mask.  Returns the new set, the
+    metadata records freed, and whether the element still holds a
+    barrier that is not yet stable. *)
+val gc_elt : stable:Vclock.t -> t -> string -> t * int * bool
+
 val pp : Format.formatter -> t -> unit

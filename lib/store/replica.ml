@@ -57,11 +57,30 @@ type origin_log = {
     the digest" (observable state indistinguishable from empty — or the
     astronomically unlikely honest hash 0, which both sides of any
     comparison compute identically). *)
-type cell = { c_kid : int; mutable c_obj : Obj.t; mutable c_h : int }
+type cell = {
+  c_kid : int;
+  mutable c_obj : Obj.t;
+  mutable c_h : int;
+  mutable c_dirty : bool;
+      (** queued on its shard's dirty vector since the last refresh —
+          set by [mark_dirty], cleared by [refresh_shard_s], so a key
+          is queued (and re-hashed) at most once per refresh however
+          often it changes in between *)
+  mutable c_ix : int;
+      (** bit [i] set iff the key lies under the prefix of membership
+          index [i] (see {!index}); 0 when no index covers it, which
+          is all the apply path tests *)
+}
 
 (* growth filler for the dirty vectors; never part of a live prefix *)
 let dummy_cell : cell =
-  { c_kid = -1; c_obj = Obj.O_pncounter Pncounter.empty; c_h = 0 }
+  {
+    c_kid = -1;
+    c_obj = Obj.O_pncounter Pncounter.empty;
+    c_h = 0;
+    c_dirty = false;
+    c_ix = 0;
+  }
 
 (** One keyspace partition: objects, types, dirty vector and a rolling
     digest, all keyed by interned key id (dense ints hash and compare
@@ -71,14 +90,15 @@ type shard = {
   sh_types : (int, Obj.otype) Hashtbl.t;
   mutable sh_dirty : cell array;
       (** cells updated since this shard's digest was refreshed — a
-          plain push vector (first [sh_dirty_n] slots), {e not} a set:
-          duplicate entries are tolerated because the refresh recomputes
-          each entry's hash from the current state, which makes a second
-          visit a no-op.  Pushing the cell pointer is several times
-          cheaper than a hash-set insert (the apply path pays it per
-          update), and the refresh walks the cells with no table
-          lookups at all *)
+          push vector (first [sh_dirty_n] slots) holding each cell at
+          most once: a cell's [c_dirty] bit is set when it is pushed
+          and cleared when the refresh hashes it, so a key updated k
+          times between two refreshes is pushed and re-hashed once.
+          Pushing the cell pointer is several times cheaper than a
+          hash-set insert (the apply path pays it per update), and the
+          refresh walks the cells with no table lookups at all *)
   mutable sh_dirty_n : int;  (** live prefix length of [sh_dirty] *)
+  mutable sh_rehashed : int;  (** cells hashed by refreshes, ever *)
   mutable sh_xor : int;  (** rolling digest: XOR of the cached hashes *)
   mutable sh_sum : int;
       (** rolling digest: wrapping sum of the cached hashes — a second
@@ -92,6 +112,22 @@ type shard = {
           divergent *)
   sh_sub_sum : int array;
   sh_sub_entries : int array;
+}
+
+(** A replica-local membership index over the set objects whose keys
+    lie under one prefix (e.g. every ["lines:<order>"] set): which keys
+    hold a given element, and which compensation sets are over their
+    bound.  It answers precondition checks such as "is item [i]
+    referenced by any order line?" without scanning the keyspace.
+    Derived from the local state only: it is never replicated,
+    snapshotted or logged. *)
+type index = {
+  ix_prefix : string;
+  ix_bit : int;  (** this index's bit in [c_ix] *)
+  ix_holders : (string, (int, unit) Hashtbl.t) Hashtbl.t;
+      (** element → kids whose set holds it *)
+  ix_over : (int, unit) Hashtbl.t;
+      (** kids whose compensation set is over its bound *)
 }
 
 type t = {
@@ -139,6 +175,18 @@ type t = {
       (** batches dropped by causally-stable truncation *)
   mutable delta_groups_applied : int;
       (** delta groups accepted by {!apply_delta_group} *)
+  mutable indexes : index list;
+      (** membership indexes, one per queried prefix, in creation
+          order — built by one scan on first query ({!holders},
+          {!over_bound}), then kept current by the apply path; dropped
+          by {!restore} and {!reset} *)
+  mutable index_builds : int;  (** index builds (scans), ever *)
+  gc_elts : (int, (string, unit) Hashtbl.t) Hashtbl.t;
+      (** kid → elements of its add-wins or remove-wins set that a
+          remove may have left reclaimable: the only entries {!gc}
+          visits *)
+  gc_wild : (int, unit) Hashtbl.t;
+      (** kids of remove-wins sets holding a wildcard barrier *)
 }
 
 let default_shards = 8
@@ -152,6 +200,7 @@ let make_shard ~(subs : int) () : shard =
     sh_types = Hashtbl.create 64;
     sh_dirty = Array.make 64 dummy_cell;
     sh_dirty_n = 0;
+    sh_rehashed = 0;
     sh_xor = 0;
     sh_sum = 0;
     sh_entries = 0;
@@ -189,6 +238,10 @@ let create ?(region = "local") ?(shards = default_shards)
     log_hwm = 0;
     log_truncated = 0;
     delta_groups_applied = 0;
+    indexes = [];
+    index_builds = 0;
+    gc_elts = Hashtbl.create 64;
+    gc_wild = Hashtbl.create 8;
   }
 
 let shard_count (r : t) : int = Array.length r.shards
@@ -220,6 +273,28 @@ let sub_of_id (subs : int) (kid : int) : int =
     let h = kid * 0x85EBCA6B in
     (h lxor (h lsr 15)) land max_int mod subs
 
+(* does [key] lie strictly under [prefix]?  (no allocation) *)
+let under_prefix (prefix : string) (key : string) : bool =
+  let n = String.length prefix in
+  String.length key > n
+  &&
+  let rec go i = i = n || (prefix.[i] = key.[i] && go (i + 1)) in
+  go 0
+
+(* a fresh cell; with membership indexes built, its index bits are
+   decided once here from the key's name *)
+let new_cell (r : t) (kid : int) (o : Obj.t) : cell =
+  let c = { c_kid = kid; c_obj = o; c_h = 0; c_dirty = false; c_ix = 0 } in
+  if r.indexes <> [] then begin
+    let key = Intern.name kid in
+    List.iter
+      (fun ix ->
+        if under_prefix ix.ix_prefix key then
+          c.c_ix <- c.c_ix lor (1 lsl ix.ix_bit))
+      r.indexes
+  end;
+  c
+
 (** Read an object, creating it with type [ty] if absent (keys are
     created on first access, as in a key-value store with typed keys). *)
 let get_kid (r : t) (kid : int) (ty : Obj.otype) : Obj.t =
@@ -227,8 +302,9 @@ let get_kid (r : t) (kid : int) (ty : Obj.otype) : Obj.t =
   match Hashtbl.find_opt sh.sh_data kid with
   | Some c -> c.c_obj
   | None ->
+      (* an empty set holds nothing: no index needs to hear of it *)
       let o = Obj.init ty in
-      Hashtbl.replace sh.sh_data kid { c_kid = kid; c_obj = o; c_h = 0 };
+      Hashtbl.replace sh.sh_data kid (new_cell r kid o);
       Hashtbl.replace sh.sh_types kid ty;
       o
 
@@ -265,6 +341,175 @@ let fold_data (r : t) (f : string -> Obj.t -> 'a -> 'a) (acc : 'a) : 'a =
 let obj_count (r : t) : int =
   Array.fold_left (fun acc sh -> acc + Hashtbl.length sh.sh_data) 0 r.shards
 
+(* push [c] onto the shard's dirty vector unless it is already queued
+   (amortized O(1) — see the [sh_dirty] doc) *)
+let mark_dirty (sh : shard) (c : cell) : unit =
+  if not c.c_dirty then begin
+    c.c_dirty <- true;
+    let n = sh.sh_dirty_n in
+    if n = Array.length sh.sh_dirty then begin
+      let nb = Array.make (2 * n) dummy_cell in
+      Array.blit sh.sh_dirty 0 nb 0 n;
+      sh.sh_dirty <- nb
+    end;
+    sh.sh_dirty.(n) <- c;
+    sh.sh_dirty_n <- n + 1
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Membership indexes                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let set_members (o : Obj.t) : string list =
+  match o with
+  | Obj.O_awset s -> Awset.elements s
+  | Obj.O_compset c -> Compset.raw_elements c
+  | _ -> []
+
+(* bring [ix] up to date with [kid]'s change from members [before] to
+   object [o]: both member lists are sorted, so one merge pass finds the
+   elements gained and lost — O(size of this one set) *)
+let ix_note (ix : index) (kid : int) (before : string list) (o : Obj.t) : unit =
+  let after = set_members o in
+  if before <> after then begin
+    let gain e =
+      match Hashtbl.find_opt ix.ix_holders e with
+      | Some h -> Hashtbl.replace h kid ()
+      | None ->
+          let h = Hashtbl.create 4 in
+          Hashtbl.replace h kid ();
+          Hashtbl.replace ix.ix_holders e h
+    in
+    let lose e =
+      match Hashtbl.find_opt ix.ix_holders e with
+      | Some h ->
+          Hashtbl.remove h kid;
+          if Hashtbl.length h = 0 then Hashtbl.remove ix.ix_holders e
+      | None -> ()
+    in
+    let rec diff b a =
+      match (b, a) with
+      | [], [] -> ()
+      | e :: b', [] ->
+          lose e;
+          diff b' []
+      | [], e :: a' ->
+          gain e;
+          diff [] a'
+      | x :: b', y :: a' ->
+          let c = String.compare x y in
+          if c = 0 then diff b' a'
+          else if c < 0 then begin
+            lose x;
+            diff b' a
+          end
+          else begin
+            gain y;
+            diff b a'
+          end
+    in
+    diff before after
+  end;
+  match o with
+  | Obj.O_compset c when Compset.violated c -> Hashtbl.replace ix.ix_over kid ()
+  | _ -> Hashtbl.remove ix.ix_over kid
+
+(* a cell covered by some index changed from object [old]: update those
+   indexes.  Only the apply path changes a set's membership ({!gc} keeps
+   it), so [old] is what the indexes last saw of the cell *)
+let index_note (r : t) (c : cell) (old : Obj.t) : unit =
+  let before = set_members old in
+  List.iter
+    (fun ix ->
+      if c.c_ix land (1 lsl ix.ix_bit) <> 0 then ix_note ix c.c_kid before c.c_obj)
+    r.indexes
+
+(* the index for [prefix], built by one scan of the keyspace the first
+   time it is asked for *)
+let index (r : t) (prefix : string) : index =
+  match List.find_opt (fun ix -> ix.ix_prefix = prefix) r.indexes with
+  | Some ix -> ix
+  | None ->
+      let bit = List.length r.indexes in
+      if bit >= Sys.int_size - 1 then
+        invalid_arg "Replica.index: too many indexed prefixes";
+      let ix =
+        {
+          ix_prefix = prefix;
+          ix_bit = bit;
+          ix_holders = Hashtbl.create 64;
+          ix_over = Hashtbl.create 16;
+        }
+      in
+      Array.iter
+        (fun sh ->
+          Hashtbl.iter
+            (fun kid c ->
+              if under_prefix prefix (Intern.name kid) then begin
+                c.c_ix <- c.c_ix lor (1 lsl bit);
+                ix_note ix kid [] c.c_obj
+              end)
+            sh.sh_data)
+        r.shards;
+      r.indexes <- r.indexes @ [ ix ];
+      r.index_builds <- r.index_builds + 1;
+      ix
+
+let names_of (kids : (int, unit) Hashtbl.t) : string list =
+  List.sort String.compare
+    (Hashtbl.fold (fun kid () acc -> Intern.name kid :: acc) kids [])
+
+(** Keys strictly under [prefix] whose add-wins or compensation set
+    holds [elt] (raw membership: a compensation set's over-bound
+    members count), sorted. *)
+let holders (r : t) ~(prefix : string) (elt : string) : string list =
+  match Hashtbl.find_opt (index r prefix).ix_holders elt with
+  | None -> []
+  | Some kids -> names_of kids
+
+(** Does some key strictly under [prefix] hold [elt] (as {!holders},
+    without listing them)? *)
+let held (r : t) ~(prefix : string) (elt : string) : bool =
+  Hashtbl.mem (index r prefix).ix_holders elt
+
+(** Keys strictly under [prefix] whose compensation set is over its
+    bound, sorted. *)
+let over_bound (r : t) ~(prefix : string) : string list =
+  names_of (index r prefix).ix_over
+
+(* ------------------------------------------------------------------ *)
+(* Applying updates                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* remember the set entries a remove may have left reclaimable, for
+   {!gc} *)
+let gc_watch (r : t) (kid : int) (e : string) : unit =
+  match Hashtbl.find_opt r.gc_elts kid with
+  | Some es -> Hashtbl.replace es e ()
+  | None ->
+      let es = Hashtbl.create 8 in
+      Hashtbl.replace es e ();
+      Hashtbl.replace r.gc_elts kid es
+
+let gc_watch_op (r : t) (kid : int) (op : Obj.op) : unit =
+  match op with
+  | Obj.Op_awset o -> List.iter (gc_watch r kid) (Awset.removed_by o)
+  | Obj.Op_rwset o -> (
+      match Rwset.barrier_of_op o with
+      | None -> ()
+      | Some (`Elt e) -> gc_watch r kid e
+      | Some `Wild -> Hashtbl.replace r.gc_wild kid ())
+  | _ -> ()
+
+(* every reclaimable-looking entry of a whole set (restore) *)
+let gc_watch_obj (r : t) (kid : int) (o : Obj.t) : unit =
+  match o with
+  | Obj.O_awset s -> List.iter (gc_watch r kid) (Awset.removed_elements s)
+  | Obj.O_rwset s ->
+      List.iter (gc_watch r kid) (Rwset.barrier_elements s);
+      if Rwset.has_wild s then Hashtbl.replace r.gc_wild kid ()
+  | _ -> ()
+
 (** Apply a single update effect, creating the object if the effect
     arrives before any local access.  Compensation objects carry their
     bounds in every op, so remote-first creation uses the {e real}
@@ -273,43 +518,38 @@ let obj_count (r : t) : int =
     its shard; re-rendering is deferred to the next digest refresh, so a
     batch of updates pays one cheap int-table write per key here and the
     rendering cost only when a digest is actually demanded. *)
-(* push [c] onto the shard's dirty vector (amortized O(1), duplicates
-   allowed — see the [sh_dirty] doc) *)
-let mark_dirty (sh : shard) (c : cell) : unit =
-  let n = sh.sh_dirty_n in
-  if n = Array.length sh.sh_dirty then begin
-    let nb = Array.make (2 * n) dummy_cell in
-    Array.blit sh.sh_dirty 0 nb 0 n;
-    sh.sh_dirty <- nb
-  end;
-  sh.sh_dirty.(n) <- c;
-  sh.sh_dirty_n <- n + 1
-
 let apply_update_kid (r : t) (kid : int) (op : Obj.op) : unit =
   let sh = r.shards.(shard_of_id (Array.length r.shards) kid) in
-  match Hashtbl.find_opt sh.sh_data kid with
-  | Some c ->
-      c.c_obj <- Obj.apply c.c_obj op;
-      mark_dirty sh c
-  | None ->
-      (* effects can arrive before any local access: infer the object
-         type from the op *)
-      let ty =
-        match op with
-        | Obj.Op_awset _ -> Obj.T_awset
-        | Obj.Op_rwset _ -> Obj.T_rwset
-        | Obj.Op_pncounter _ -> Obj.T_pncounter
-        | Obj.Op_bcounter _ -> Obj.T_bcounter
-        | Obj.Op_lww _ -> Obj.T_lww
-        | Obj.Op_mvreg _ -> Obj.T_mvreg
-        | Obj.Op_compset o -> Obj.T_compset { max_size = Compset.op_bound o }
-        | Obj.Op_compcounter o ->
-            Obj.T_compcounter { min_value = Compcounter.op_bound o }
-      in
-      Hashtbl.replace sh.sh_types kid ty;
-      let c = { c_kid = kid; c_obj = Obj.apply (Obj.init ty) op; c_h = 0 } in
-      Hashtbl.replace sh.sh_data kid c;
-      mark_dirty sh c
+  let c, old =
+    match Hashtbl.find_opt sh.sh_data kid with
+    | Some c ->
+        let old = c.c_obj in
+        c.c_obj <- Obj.apply old op;
+        (c, old)
+    | None ->
+        (* effects can arrive before any local access: infer the object
+           type from the op *)
+        let ty =
+          match op with
+          | Obj.Op_awset _ -> Obj.T_awset
+          | Obj.Op_rwset _ -> Obj.T_rwset
+          | Obj.Op_pncounter _ -> Obj.T_pncounter
+          | Obj.Op_bcounter _ -> Obj.T_bcounter
+          | Obj.Op_lww _ -> Obj.T_lww
+          | Obj.Op_mvreg _ -> Obj.T_mvreg
+          | Obj.Op_compset o -> Obj.T_compset { max_size = Compset.op_bound o }
+          | Obj.Op_compcounter o ->
+              Obj.T_compcounter { min_value = Compcounter.op_bound o }
+        in
+        Hashtbl.replace sh.sh_types kid ty;
+        let old = Obj.init ty in
+        let c = new_cell r kid (Obj.apply old op) in
+        Hashtbl.replace sh.sh_data kid c;
+        (c, old)
+  in
+  mark_dirty sh c;
+  if c.c_ix <> 0 then index_note r c old;
+  gc_watch_op r kid op
 
 let apply_update (r : t) ((key, op) : string * Obj.op) : unit =
   apply_update_kid r (Intern.id key) op
@@ -606,14 +846,14 @@ let obs_hash (kid : int) (o : Obj.t) : int option =
 let refresh_shard_s (sh : shard) : unit =
   if sh.sh_dirty_n > 0 then begin
     let subs = Array.length sh.sh_sub_xor in
+    sh.sh_rehashed <- sh.sh_rehashed + sh.sh_dirty_n;
     for i = 0 to sh.sh_dirty_n - 1 do
       let c = sh.sh_dirty.(i) in
+      c.c_dirty <- false;
       let sb = sub_of_id subs c.c_kid in
       if c.c_h <> 0 then begin
         (* XOR is its own inverse and the sum wraps: the same hash
-           subtracts a previous contribution back out.  A duplicate
-           dirty entry removes and re-adds the same fresh hash — a
-           net no-op, which is what makes the vector safe *)
+           subtracts a previous contribution back out *)
         sh.sh_xor <- sh.sh_xor lxor c.c_h;
         sh.sh_sum <- sh.sh_sum - c.c_h;
         sh.sh_entries <- sh.sh_entries - 1;
@@ -752,30 +992,65 @@ let truncate_stable (r : t) ~(stable : Vclock.t) : int =
     [log_truncated]; the retained-log high-water mark is [log_hwm]).
     Returns the number of CRDT metadata records reclaimed.  GC changes
     only internal metadata, never observable state, so keys are not
-    marked dirty. *)
+    marked dirty.
+
+    Incremental: only the entries a remove left behind ([gc_elts],
+    recorded by the apply path) are visited, each dropped from the
+    watch list once reclaimed or live again; the result is the one a
+    {!Awset.gc} / {!Rwset.gc} pass over every set would give.  A stable
+    wildcard barrier masks adds under every element of its set, so
+    such a set ([gc_wild]) is collected whole. *)
 let gc (r : t) : int =
   let stable = stable_vv r in
   let reclaimed = ref 0 in
-  Array.iter
-    (fun sh ->
-      Hashtbl.iter
-        (fun _ c ->
-          match c.c_obj with
-          | Obj.O_rwset s ->
-              let before = Ipa_crdt.Rwset.metadata_size s in
-              let s' = Ipa_crdt.Rwset.gc ~stable s in
+  let n = Array.length r.shards in
+  let cell_of kid = Hashtbl.find_opt r.shards.(shard_of_id n kid).sh_data kid in
+  Hashtbl.filter_map_inplace
+    (fun kid () ->
+      match cell_of kid with
+      | Some ({ c_obj = Obj.O_rwset s; _ } as c) ->
+          let s =
+            if Rwset.wild_stable ~stable s then begin
+              let s' = Rwset.gc ~stable s in
               reclaimed :=
-                !reclaimed + before - Ipa_crdt.Rwset.metadata_size s';
-              c.c_obj <- Obj.O_rwset s'
-          | Obj.O_awset s ->
-              let before = Ipa_crdt.Awset.metadata_size s in
-              let s' = Ipa_crdt.Awset.gc ~stable s in
-              reclaimed :=
-                !reclaimed + before - Ipa_crdt.Awset.metadata_size s';
-              c.c_obj <- Obj.O_awset s'
-          | _ -> ())
-        sh.sh_data)
-    r.shards;
+                !reclaimed + Rwset.metadata_size s - Rwset.metadata_size s';
+              c.c_obj <- Obj.O_rwset s';
+              s'
+            end
+            else s
+          in
+          if Rwset.has_wild s then Some () else None
+      | _ -> None)
+    r.gc_wild;
+  Hashtbl.filter_map_inplace
+    (fun kid es ->
+      (match cell_of kid with
+      | Some ({ c_obj = Obj.O_awset s; _ } as c) ->
+          let s = ref s in
+          Hashtbl.filter_map_inplace
+            (fun e () ->
+              match Awset.gc_elt ~stable !s e with
+              | `Reclaimed s' ->
+                  s := s';
+                  incr reclaimed;
+                  None
+              | `Pending -> Some ()
+              | `Live -> None)
+            es;
+          c.c_obj <- Obj.O_awset !s
+      | Some ({ c_obj = Obj.O_rwset s; _ } as c) ->
+          let s = ref s in
+          Hashtbl.filter_map_inplace
+            (fun e () ->
+              let s', freed, barred = Rwset.gc_elt ~stable !s e in
+              s := s';
+              reclaimed := !reclaimed + freed;
+              if barred then Some () else None)
+            es;
+          c.c_obj <- Obj.O_rwset !s
+      | _ -> Hashtbl.reset es);
+      if Hashtbl.length es = 0 then None else Some es)
+    r.gc_elts;
   if !Fastpath.truncate_log then ignore (truncate_stable r ~stable);
   !reclaimed
 
@@ -851,10 +1126,15 @@ let refill (dst : ('a, 'b) Hashtbl.t) (src : ('a, 'b) Hashtbl.t) : unit =
     caches are rebuilt lazily: every restored key is marked dirty, so the
     next digest call re-renders exactly the restored state (and restored
     digests stay bit-identical to a from-scratch run — the property the
-    shrinker's re-execution relies on). *)
+    shrinker's re-execution relies on).  Membership indexes are dropped
+    (the next query rebuilds them); the GC watch list is re-derived from
+    the restored sets. *)
 let restore (r : t) (s : snapshot) : unit =
   if Array.length s.s_shards <> Array.length r.shards then
     invalid_arg "Replica.restore: snapshot has a different shard count";
+  r.indexes <- [];
+  Hashtbl.reset r.gc_elts;
+  Hashtbl.reset r.gc_wild;
   r.vv <- s.s_vv;
   r.seq <- s.s_seq;
   r.lamport <- s.s_lamport;
@@ -866,7 +1146,8 @@ let restore (r : t) (s : snapshot) : unit =
       Hashtbl.reset sh.sh_data;
       Hashtbl.iter
         (fun kid o ->
-          Hashtbl.replace sh.sh_data kid { c_kid = kid; c_obj = o; c_h = 0 })
+          Hashtbl.replace sh.sh_data kid (new_cell r kid o);
+          gc_watch_obj r kid o)
         data;
       refill sh.sh_types types;
       (* invalidate the incremental digest state wholesale: previously
@@ -951,7 +1232,10 @@ let reset (r : t) : unit =
   r.log_size <- 0;
   r.log_hwm <- 0;
   r.log_truncated <- 0;
-  r.delta_groups_applied <- 0
+  r.delta_groups_applied <- 0;
+  r.indexes <- [];
+  Hashtbl.reset r.gc_elts;
+  Hashtbl.reset r.gc_wild
 
 (** Recovery replay of a logged batch (own or remote): re-applies its
     updates without delivery gating — WAL append order is application
@@ -1098,18 +1382,32 @@ let delta_group_of (r : t) ~(origin : string) ~(known : int) :
    fragment arrives before any local access *)
 let join_delta_kid (r : t) (kid : int) (d : Obj.delta) : unit =
   let sh = r.shards.(shard_of_id (Array.length r.shards) kid) in
-  match Hashtbl.find_opt sh.sh_data kid with
-  | Some c ->
-      c.c_obj <- Obj.join_delta c.c_obj d;
-      mark_dirty sh c
-  | None ->
-      let ty = Obj.delta_otype d in
-      Hashtbl.replace sh.sh_types kid ty;
-      let c =
-        { c_kid = kid; c_obj = Obj.join_delta (Obj.init ty) d; c_h = 0 }
-      in
-      Hashtbl.replace sh.sh_data kid c;
-      mark_dirty sh c
+  let c, old =
+    match Hashtbl.find_opt sh.sh_data kid with
+    | Some c ->
+        let old = c.c_obj in
+        c.c_obj <- Obj.join_delta old d;
+        (c, old)
+    | None ->
+        let ty = Obj.delta_otype d in
+        Hashtbl.replace sh.sh_types kid ty;
+        let old = Obj.init ty in
+        let c = new_cell r kid (Obj.join_delta old d) in
+        Hashtbl.replace sh.sh_data kid c;
+        (c, old)
+  in
+  mark_dirty sh c;
+  if c.c_ix <> 0 then index_note r c old;
+  (* a join can leave any of the fragment's elements removed *)
+  match (d, c.c_obj) with
+  | Obj.D_awset frag, Obj.O_awset s ->
+      List.iter
+        (fun e -> if not (Awset.mem e s) then gc_watch r kid e)
+        (Awset.entries frag)
+  | Obj.D_rwset frag, _ ->
+      List.iter (gc_watch r kid) (Rwset.barrier_elements frag);
+      if Rwset.has_wild frag then Hashtbl.replace r.gc_wild kid ()
+  | _ -> ()
 
 (** Join a delta fragment into a key's object (creating it if
     absent). *)

@@ -42,7 +42,15 @@ type origin_log = {
 (** One key's slot in a shard: the CRDT value plus the cached hash of
     its observable state (a pure function of key and observable value;
     [c_h = 0] means "not contributing to the digest"). *)
-type cell = { c_kid : int; mutable c_obj : Obj.t; mutable c_h : int }
+type cell = {
+  c_kid : int;
+  mutable c_obj : Obj.t;
+  mutable c_h : int;
+  mutable c_dirty : bool;
+      (** queued on the shard's dirty vector since the last refresh *)
+  mutable c_ix : int;
+      (** bit [i] set iff membership index [i] covers the key *)
+}
 
 (** One keyspace partition, keyed by interned key id. *)
 type shard = {
@@ -51,8 +59,9 @@ type shard = {
   mutable sh_dirty : cell array;
       (** cells updated since this shard's digest was refreshed — a
           push vector of which the first [sh_dirty_n] slots are live;
-          duplicates are tolerated (refresh is idempotent per key) *)
+          each cell appears at most once (its [c_dirty] bit) *)
   mutable sh_dirty_n : int;  (** live prefix length of [sh_dirty] *)
+  mutable sh_rehashed : int;  (** cells hashed by refreshes, ever *)
   mutable sh_xor : int;  (** rolling digest: XOR of the cached hashes *)
   mutable sh_sum : int;  (** rolling digest: wrapping sum of the hashes *)
   mutable sh_entries : int;  (** entries contributing to the digest *)
@@ -64,6 +73,12 @@ type shard = {
   sh_sub_sum : int array;
   sh_sub_entries : int array;
 }
+
+(** A replica-local membership index over the set objects under one
+    key prefix: element → keys whose set holds it, plus the
+    compensation sets over their bound.  Derived from local state only;
+    never replicated, snapshotted or logged. *)
+type index
 
 type t = {
   id : string;
@@ -102,6 +117,16 @@ type t = {
       (** batches dropped by causally-stable truncation *)
   mutable delta_groups_applied : int;
       (** delta groups accepted by {!apply_delta_group} *)
+  mutable indexes : index list;
+      (** membership indexes, one per queried prefix — built by one
+          scan on first query, kept current by the apply path, dropped
+          by {!restore} and {!reset} *)
+  mutable index_builds : int;  (** index builds (scans), ever *)
+  gc_elts : (int, (string, unit) Hashtbl.t) Hashtbl.t;
+      (** kid → set elements a remove may have left reclaimable: the
+          only entries {!gc} visits *)
+  gc_wild : (int, unit) Hashtbl.t;
+      (** kids of remove-wins sets holding a wildcard barrier *)
 }
 
 (** Default keyspace partition count when [?shards] is omitted. *)
@@ -148,6 +173,23 @@ val obj_count : t -> int
 
 (** Fresh Lamport timestamp (for LWW registers). *)
 val next_lamport : t -> int
+
+(** {1 Membership indexes} *)
+
+(** Keys strictly under [prefix] whose add-wins or compensation set
+    holds the element (raw membership: an over-bound compensation
+    set's members all count), sorted.  The prefix's index is built by
+    one scan on first use and maintained by every later update, so a
+    query costs O(answer). *)
+val holders : t -> prefix:string -> string -> string list
+
+(** Does some key strictly under [prefix] hold the element?  The
+    yes/no form of {!holders}: O(1) once the index is built. *)
+val held : t -> prefix:string -> string -> bool
+
+(** Keys strictly under [prefix] whose compensation set is over its
+    bound, sorted (same index as {!holders}). *)
+val over_bound : t -> prefix:string -> string list
 
 (** Apply a single update effect, creating the object (with the op's
     carried bounds, for compensation objects) if the effect arrives
@@ -226,7 +268,9 @@ val truncate_stable : t -> stable:Vclock.t -> int
 (** Reclaim CRDT metadata made dead by causal stability (rem-wins
     barriers, stably-removed payloads) and truncate the stable batch-log
     prefix (when {!Fastpath.truncate_log} is on).  Returns CRDT records
-    reclaimed. *)
+    reclaimed.  Visits only the set entries removes have left behind
+    since they were last found live or reclaimed ([gc_elts]), not the
+    keyspace. *)
 val gc : t -> int
 
 (** An immutable capture of a replica's full replication state, for the

@@ -470,6 +470,194 @@ let test_tpc_stock_restock_compensation () =
   in
   Alcotest.(check bool) "restocked above the bound" true (v >= 0)
 
+(* ------------------------------------------------------------------ *)
+(* Index-backed preconditions vs the keyspace scans they replaced      *)
+(* ------------------------------------------------------------------ *)
+
+(* [Tpc.rem_item] and [Tournament.rem_player] as they were before the
+   replica's membership index: a scan of every order line, and an
+   enrolment read of every tournament.  Kept as oracles. *)
+
+let rem_item_scan (rep : Replica.t) (i : string) : Replica.batch option =
+  let referenced =
+    Replica.fold_data rep
+      (fun key obj acc ->
+        acc
+        || String.length key > 6
+           && String.sub key 0 6 = "lines:"
+           &&
+           match obj with
+           | Obj.O_awset lines -> Awset.mem i lines
+           | _ -> false)
+      false
+  in
+  let tx = Txn.begin_ rep in
+  if referenced then begin
+    Txn.abort tx;
+    None
+  end
+  else begin
+    let s = Obj.as_awset (Txn.get tx "items" Obj.T_awset) in
+    Txn.update tx "items" (Obj.Op_awset (Awset.prepare_remove s i));
+    Txn.commit tx
+  end
+
+let rem_player_scan (app : Tournament.t) (rep : Replica.t) (p : string) :
+    Replica.batch option =
+  let tx = Txn.begin_ rep in
+  let aw key = Obj.as_awset (Txn.get tx key Obj.T_awset) in
+  let enrolled_read t =
+    let key = "enrolled:" ^ t in
+    match app.Tournament.variant with
+    | Tournament.Causal -> Awset.elements (aw key)
+    | Tournament.Ipa ->
+        let s =
+          Obj.as_compset
+            (Txn.get tx key
+               (Obj.T_compset { max_size = app.Tournament.capacity }))
+        in
+        let visible, comp = Compset.read s in
+        List.iter (fun op -> Txn.update tx key (Obj.Op_compset op)) comp;
+        visible
+  in
+  let enrolled_somewhere =
+    List.exists (fun t -> List.mem p (enrolled_read t)) (Awset.elements (aw "tournaments"))
+  in
+  if Awset.mem p (aw "players") && not enrolled_somewhere then begin
+    Txn.update tx "players" (Obj.Op_awset (Awset.prepare_remove (aw "players") p));
+    Txn.commit tx
+  end
+  else begin
+    Txn.abort tx;
+    None
+  end
+
+(* the same commit: both aborted, or the same updates in the same order
+   on top of the same clock *)
+let same_commit (a : Replica.batch option) (b : Replica.batch option) : bool =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b ->
+      a.Replica.b_updates = b.Replica.b_updates
+      && a.Replica.b_seq = b.Replica.b_seq
+      && Vclock.equal a.Replica.b_after b.Replica.b_after
+  | _ -> false
+
+(* a replica's twin at its current state, for running an oracle *)
+let twin_of (r : Replica.t) : Replica.t =
+  let t = Replica.create ~shards:(Replica.shard_count r) r.Replica.id in
+  Replica.restore t (Replica.snapshot r);
+  t
+
+(* Random Tournament + TPC-W histories at a three-replica cluster
+   seeded with players, tournaments and items: application ops at
+   random replicas (enrolments weighted up, so concurrent ones overrun
+   the capacity of 2 and compensation reads have work), out-of-order,
+   duplicated and bulk deliveries, and — the point — rem_player and
+   rem_item at random replicas, each run both ways: index-backed on the
+   replica, scanning on a twin.  They must commit the same updates in
+   the same order (or both abort). *)
+let run_app_history (ipa : bool) (steps : (int * int * int * int) list) : bool =
+  let c = three () in
+  let reps = Array.of_list c.Cluster.replicas in
+  let tourn =
+    Tournament.create ~capacity:2 (if ipa then Tournament.Ipa else Tournament.Causal)
+  in
+  let tpc = Tpc.create (if ipa then Tpc.Ipa else Tpc.Causal) in
+  for n = 0 to 4 do
+    ignore (run_sync c reps.(0) (Tournament.add_player tourn (Printf.sprintf "p%d" n)));
+    ignore (run_sync c reps.(0) (Tpc.add_item tpc (Printf.sprintf "i%d" n)))
+  done;
+  for n = 0 to 3 do
+    ignore (run_sync c reps.(0) (Tournament.add_tourn tourn (Printf.sprintf "t%d" n)))
+  done;
+  let outbox = ref [||] in
+  let post = function
+    | Some b -> outbox := Array.append !outbox [| b |]
+    | None -> ()
+  in
+  let arg sort n =
+    match sort with
+    | "Player" -> Printf.sprintf "p%d" (n mod 5)
+    | "Tournament" -> Printf.sprintf "t%d" (n mod 4)
+    | "Item" -> Printf.sprintf "i%d" (n mod 5)
+    | "Order" -> Printf.sprintf "o%d" (n mod 6)
+    | _ -> "c0"
+  in
+  let run r (op : Ipa_runtime.Config.op_exec) =
+    (op.Ipa_runtime.Config.run r).Ipa_runtime.Config.batch
+  in
+  let ok = ref true in
+  List.iter
+    (fun (k, a, x, y) ->
+      let r = reps.(a mod 3) in
+      match k mod 8 with
+      | 0 | 1 -> post (run r (Tournament.enroll tourn (arg "Player" x) (arg "Tournament" y)))
+      | 2 | 3 ->
+          let ops, exec =
+            if k mod 8 = 2 then (Tournament.fuzz_ops, Tournament.exec_op tourn)
+            else (Tpc.fuzz_ops, Tpc.exec_op tpc)
+          in
+          let name, sorts = List.nth ops (y mod List.length ops) in
+          let args = List.mapi (fun j s -> arg s (x + (j * (y + 1)))) sorts in
+          post (run r (Option.get (exec name args)))
+      | 4 ->
+          if Array.length !outbox > 0 then
+            Replica.receive reps.(x mod 3) !outbox.(y mod Array.length !outbox)
+      | 5 -> Array.iter (Replica.receive r) !outbox
+      | 6 ->
+          let p = arg "Player" x in
+          let want = rem_player_scan tourn (twin_of r) p in
+          let got = run r (Tournament.rem_player tourn p) in
+          if not (same_commit want got) then ok := false;
+          post got
+      | _ ->
+          let i = arg "Item" x in
+          let want = rem_item_scan (twin_of r) i in
+          let got = run r (Tpc.rem_item tpc i) in
+          if not (same_commit want got) then ok := false;
+          post got)
+    steps;
+  !ok
+
+let app_history_gen =
+  QCheck.(
+    make
+      Gen.(
+        list_size (int_range 1 100)
+          (quad (int_bound 7) (int_bound 2) (int_bound 29) (int_bound 29))))
+
+let prop_index_preconditions_match_scans =
+  QCheck.Test.make
+    ~name:"index-backed = keyspace scan"
+    ~count:150 app_history_gen
+    (fun steps -> run_app_history false steps && run_app_history true steps)
+
+(* rem_player visits only the tournaments whose enrolment it can
+   matter to: at 1,024 tournaments whose enrolment sets were never
+   read, it creates no objects (the scan created an empty
+   enrolled:<t> set per tournament) *)
+let test_rem_player_touches_no_unread_tournament () =
+  List.iter
+    (fun variant ->
+      let c = three () in
+      let east = Cluster.replica c "dc-east" in
+      let app = Tournament.create variant in
+      let _ = run_sync c east (Tournament.add_player app "alice") in
+      let _ = run_sync c east (Tournament.add_player app "bob") in
+      for t = 0 to 1023 do
+        ignore (run_sync c east (Tournament.add_tourn app (Printf.sprintf "t%d" t)))
+      done;
+      let _ = run_sync c east (Tournament.enroll app "bob" "t7") in
+      let before = Replica.obj_count east in
+      let o = run_sync c east (Tournament.rem_player app "alice") in
+      Alcotest.(check bool) "alice removed" true (o.Ipa_runtime.Config.batch <> None);
+      Alcotest.(check int) "no object created" before (Replica.obj_count east);
+      let o = run_sync c east (Tournament.rem_player app "bob") in
+      Alcotest.(check bool) "enrolled bob kept" true (o.Ipa_runtime.Config.batch = None);
+      Alcotest.(check int) "still no object created" before (Replica.obj_count east))
+    [ Tournament.Causal; Tournament.Ipa ]
+
 let () =
   Alcotest.run "ipa_apps"
     [
@@ -491,6 +679,8 @@ let () =
             test_tournament_workload_smoke;
           Alcotest.test_case "chaos delivery" `Quick
             test_tournament_chaos_delivery;
+          Alcotest.test_case "rem_player creates no objects" `Quick
+            test_rem_player_touches_no_unread_tournament;
         ] );
       ( "ticket",
         [
@@ -523,4 +713,7 @@ let () =
           Alcotest.test_case "restock compensation" `Quick
             test_tpc_stock_restock_compensation;
         ] );
+      ( "indexed",
+        [ Testutil.to_alcotest ~default:0 prop_index_preconditions_match_scans ]
+      );
     ]

@@ -1580,6 +1580,338 @@ let prop_weak_converges_at_quiescence =
              read_counter w.Read.value = strong && not w.Read.escalated)
            c.Cluster.replicas)
 
+(* ------------------------------------------------------------------ *)
+(* Membership indexes, incremental gc and the dirty bit                *)
+(* ------------------------------------------------------------------ *)
+
+(* The keyspace scans these replica paths replaced, kept here as
+   oracles: a from-scratch membership scan, and the whole-keyspace gc
+   (every add-wins and remove-wins set collected whole, then the stable
+   batch-log prefix truncated). *)
+
+let index_prefixes = [ "lines:"; "enrolled:" ]
+
+let scan_holders (r : Replica.t) ~(prefix : string) (e : string) : string list =
+  let n = String.length prefix in
+  Replica.fold_data r
+    (fun key o acc ->
+      let held =
+        match o with
+        | Obj.O_awset s -> Awset.mem e s
+        | Obj.O_compset c -> Compset.mem e c
+        | _ -> false
+      in
+      if String.length key > n && String.sub key 0 n = prefix && held then
+        key :: acc
+      else acc)
+    []
+  |> List.sort String.compare
+
+let scan_over_bound (r : Replica.t) ~(prefix : string) : string list =
+  let n = String.length prefix in
+  Replica.fold_data r
+    (fun key o acc ->
+      match o with
+      | Obj.O_compset c
+        when String.length key > n
+             && String.sub key 0 n = prefix
+             && Compset.violated c ->
+          key :: acc
+      | _ -> acc)
+    []
+  |> List.sort String.compare
+
+let gc_full_scan (r : Replica.t) : int =
+  let stable = Replica.stable_vv r in
+  let reclaimed = ref 0 in
+  Array.iter
+    (fun (sh : Replica.shard) ->
+      Hashtbl.iter
+        (fun _ (c : Replica.cell) ->
+          match c.Replica.c_obj with
+          | Obj.O_rwset s ->
+              let s' = Rwset.gc ~stable s in
+              reclaimed :=
+                !reclaimed + Rwset.metadata_size s - Rwset.metadata_size s';
+              c.Replica.c_obj <- Obj.O_rwset s'
+          | Obj.O_awset s ->
+              let s' = Awset.gc ~stable s in
+              reclaimed :=
+                !reclaimed + Awset.metadata_size s - Awset.metadata_size s';
+              c.Replica.c_obj <- Obj.O_awset s'
+          | _ -> ())
+        sh.Replica.sh_data)
+    r.Replica.shards;
+  if !Fastpath.truncate_log then ignore (Replica.truncate_stable r ~stable);
+  !reclaimed
+
+(* what gc may change, per key: set metadata and the batch log *)
+let gc_view (r : Replica.t) =
+  let sets =
+    Replica.fold_data r
+      (fun key o acc ->
+        match o with
+        | Obj.O_awset s ->
+            ( key,
+              ( Awset.entries s,
+                List.sort compare (Awset.removed_elements s),
+                Awset.metadata_size s,
+                false ) )
+            :: acc
+        | Obj.O_rwset s ->
+            ( key,
+              ( Rwset.elements s,
+                Rwset.barrier_elements s,
+                Rwset.metadata_size s,
+                Rwset.has_wild s ) )
+            :: acc
+        | _ -> acc)
+      []
+    |> List.sort compare
+  in
+  let logs =
+    Hashtbl.fold
+      (fun origin (ol : Replica.origin_log) acc ->
+        (origin, ol.Replica.min_seq, ol.Replica.max_seq,
+         Hashtbl.length ol.Replica.entries)
+        :: acc)
+      r.Replica.log []
+    |> List.sort compare
+  in
+  (sets, logs, r.Replica.log_size, r.Replica.log_truncated)
+
+(* incremental gc on [r] against the full scan on a restored twin *)
+let gc_matches_full_scan (r : Replica.t) : bool =
+  let twin = Replica.create ~shards:(Replica.shard_count r) r.Replica.id in
+  Replica.restore twin (Replica.snapshot r);
+  let want = gc_full_scan twin in
+  let got = Replica.gc r in
+  want = got && gc_view twin = gc_view r
+
+let universe = [ "a"; "b"; "c"; "d" ]
+
+let index_matches_scan (r : Replica.t) : bool =
+  List.for_all
+    (fun prefix ->
+      Replica.over_bound r ~prefix = scan_over_bound r ~prefix
+      && List.for_all
+           (fun e ->
+             let want = scan_holders r ~prefix e in
+             Replica.holders r ~prefix e = want
+             && Replica.held r ~prefix e = (want <> []))
+           universe)
+    index_prefixes
+
+(* one local commit of a history step; every set kind the index and the
+   gc watch, under and beside the indexed prefixes ("lines:" itself is
+   not strictly under its prefix) *)
+let history_commit (rep : Replica.t) ~(kind : int) ~(key : int) (e : string) :
+    Replica.batch option =
+  let tx = Txn.begin_ rep in
+  let suffix = [| ""; "a"; "b" |].(key mod 3) in
+  let aw k = Obj.as_awset (Txn.get tx k Obj.T_awset) in
+  let cs k = Obj.as_compset (Txn.get tx k (Obj.T_compset { max_size = 1 })) in
+  let rw k = Obj.as_rwset (Txn.get tx k Obj.T_rwset) in
+  let lines = "lines:" ^ suffix and enrolled = "enrolled:" ^ suffix in
+  (match kind with
+  | 0 ->
+      Txn.update tx lines
+        (Obj.Op_awset
+           (Awset.prepare_add ~payload:("p" ^ e) (aw lines)
+              ~dot:(Txn.fresh_dot tx) e))
+  | 1 -> Txn.update tx lines (Obj.Op_awset (Awset.prepare_remove (aw lines) e))
+  | 2 ->
+      Txn.update tx lines
+        (Obj.Op_awset (Awset.prepare_touch (aw lines) ~dot:(Txn.fresh_dot tx) e))
+  | 3 ->
+      Txn.update tx lines
+        (Obj.Op_awset (Awset.prepare_remove_where (aw lines) Awset.All))
+  | 4 ->
+      Txn.update tx enrolled
+        (Obj.Op_compset
+           (Compset.prepare_add (cs enrolled) ~dot:(Txn.fresh_dot tx) e))
+  | 5 ->
+      Txn.update tx enrolled
+        (Obj.Op_compset (Compset.prepare_remove (cs enrolled) e))
+  | 6 ->
+      let _, comp = Compset.read (cs enrolled) in
+      List.iter (fun op -> Txn.update tx enrolled (Obj.Op_compset op)) comp
+  | 7 ->
+      Txn.update tx "active"
+        (Obj.Op_rwset
+           (Rwset.prepare_add ~payload:e (rw "active") ~dot:(Txn.fresh_dot tx)
+              ~vv:(Txn.current_vv tx) e))
+  | 8 ->
+      Txn.update tx "active"
+        (Obj.Op_rwset (Rwset.prepare_remove (rw "active") ~vv:(Txn.fresh_vv tx) e))
+  | 9 ->
+      Txn.update tx "active"
+        (Obj.Op_rwset
+           (Rwset.prepare_remove_where (rw "active") ~vv:(Txn.fresh_vv tx)
+              Rwset.All))
+  | 10 ->
+      Txn.update tx "items"
+        (Obj.Op_awset
+           (Awset.prepare_add ~payload:e (aw "items") ~dot:(Txn.fresh_dot tx) e))
+  | _ -> Txn.update tx "items" (Obj.Op_awset (Awset.prepare_remove (aw "items") e)));
+  Txn.commit tx
+
+(* a random history over the three-replica cluster with a WAL on every
+   replica: local commits, out-of-order and duplicated deliveries, delta
+   joins, whole-cluster snapshot/restore, single-replica restore round
+   trips, crash + WAL recovery, gc, and full exchanges that let causal
+   stability advance (so gc has something to reclaim and delta-group
+   gaps in the batch logs get truncated).  After every step every
+   replica's indexes must equal a from-scratch scan; every gc must
+   reclaim exactly what the full scan reclaims *)
+let run_history (steps : (int * int * int * int) list) : bool =
+  let ok = ref true in
+  let fail what step =
+    Fmt.epr "history step %d: %s@." step what;
+    ok := false
+  in
+  with_walled_cluster (fun c ws ->
+      let reps = Array.of_list c.Cluster.replicas in
+      let sync = Sync.create ~base_backoff_ms:1.0 c in
+      let outbox = ref [||] in
+      let saved = ref None in
+      (* every index is queried once up front, so later steps check
+         the apply path's maintenance, not a fresh build *)
+      Array.iter (fun r -> ignore (index_matches_scan r)) reps;
+      let commit r ~kind ~d =
+        match history_commit r ~kind ~key:d (List.nth universe (d / 3 mod 4)) with
+        | Some bt -> outbox := Array.append !outbox [| bt |]
+        | None -> ()
+      in
+      List.iteri
+        (fun step (k, a, b, d) ->
+          let r = reps.(a mod 3) in
+          (match k mod 10 with
+          | 0 | 1 | 2 -> commit r ~kind:b ~d
+          | 3 | 4 ->
+              if Array.length !outbox > 0 then
+                Replica.receive reps.(b mod 3)
+                  !outbox.(d mod Array.length !outbox)
+          | 5 ->
+              ignore
+                (Sync.repair sync ~mode:Sync.Deltas ~src:r
+                   ~dst:reps.(b mod 3))
+          | 6 -> (
+              match (b mod 3, !saved) with
+              | 0, _ -> saved := Some (Cluster.snapshot c, !outbox)
+              | 1, Some (snap, ob) ->
+                  (* the WALs restart from the restored state *)
+                  Cluster.restore c snap;
+                  outbox := ob;
+                  Array.iteri
+                    (fun i w -> Wal.checkpoint ~gc:false w reps.(i))
+                    ws
+              | _ ->
+                  let builds = r.Replica.index_builds in
+                  Replica.restore r (Replica.snapshot r);
+                  ignore (index_matches_scan r);
+                  if r.Replica.index_builds <> builds + List.length index_prefixes
+                  then fail "restore did not drop the indexes" step)
+          | 7 ->
+              let w = ws.(a mod 3) in
+              Wal.crash w;
+              ignore (Wal.recover w r)
+          | 8 ->
+              (* everyone gets everything, then commits once more and
+                 hears the others' commit: the stability cut catches up *)
+              let exchange () =
+                Array.iter (fun bt -> Array.iter (fun r -> Replica.receive r bt) reps) !outbox
+              in
+              exchange ();
+              Array.iter (fun r -> commit r ~kind:(10 + (b mod 2)) ~d) reps;
+              exchange ()
+          | _ -> if not (gc_matches_full_scan r) then fail "gc differs" step);
+          Array.iter
+            (fun r ->
+              let builds = r.Replica.index_builds in
+              if not (index_matches_scan r) then fail "index differs" step;
+              (* a query after an update never rebuilds *)
+              if r.Replica.index_builds > builds
+                 && not (k mod 10 = 6 || k mod 10 = 7)
+              then fail "index rebuilt outside restore/recover" step)
+            reps)
+        steps);
+  !ok
+
+let history_gen =
+  QCheck.(
+    make
+      Gen.(
+        list_size (int_range 1 80)
+          (quad (int_bound 9) (int_bound 2) (int_bound 11) (int_bound 11))))
+
+let prop_index_and_gc_match_scans =
+  QCheck.Test.make
+    ~name:"membership index = scan, incremental gc = full-scan gc" ~count:150
+    history_gen run_history
+
+(* anti-entropy heals, then gc until stability has reclaimed everything
+   reclaimable: incremental and full scan agree round by round *)
+let test_gc_incremental_rounds () =
+  let c = three () in
+  let east = Cluster.replica c "dc-east" in
+  let west = Cluster.replica c "dc-west" in
+  let eu = Cluster.replica c "dc-eu" in
+  List.iter
+    (fun e -> Cluster.broadcast_now c (add_to east "items" e))
+    [ "a"; "b"; "c"; "d" ];
+  (* removes at two replicas; eu misses west's until anti-entropy *)
+  Cluster.broadcast_now c (remove_from east "items" "a");
+  let late = remove_from west "items" "b" in
+  Replica.receive east late;
+  Cluster.broadcast_now c (rw_add east "active" "t1");
+  Cluster.broadcast_now c (rw_remove west "active" "t1");
+  let rounds = ref [] in
+  for _ = 1 to 4 do
+    List.iter
+      (fun r ->
+        let twin = Replica.create ~shards:(Replica.shard_count r) r.Replica.id in
+        Replica.restore twin (Replica.snapshot r);
+        let want = gc_full_scan twin in
+        let got = Replica.gc r in
+        Alcotest.(check int) "same records reclaimed" want got;
+        Alcotest.(check bool) "same sets after gc" true (gc_view twin = gc_view r);
+        rounds := got :: !rounds)
+      [ east; west; eu ];
+    Replica.receive eu late;
+    List.iter
+      (fun r -> Cluster.broadcast_now c (add_to r "noise" r.Replica.id))
+      [ east; west; eu ]
+  done;
+  Alcotest.(check bool) "something was reclaimed" true
+    (List.exists (fun n -> n > 0) !rounds);
+  Alcotest.(check int) "nothing left to watch once stable" 0
+    (Hashtbl.fold
+       (fun _ es acc -> acc + Hashtbl.length es)
+       east.Replica.gc_elts 0)
+
+(* a key updated k times between two refreshes is queued and hashed
+   once *)
+let test_dirty_bit_hashes_once () =
+  let c = three () in
+  let east = Cluster.replica c "dc-east" in
+  ignore (Replica.quick_digest east);
+  let sh = east.Replica.shards.(Replica.shard_of_key east "stock") in
+  let before = sh.Replica.sh_rehashed in
+  for _ = 1 to 25 do
+    ignore (dec_stock east 1)
+  done;
+  Alcotest.(check int) "queued once" 1 sh.Replica.sh_dirty_n;
+  ignore (Replica.quick_digest east);
+  Alcotest.(check int) "hashed once" 1 (sh.Replica.sh_rehashed - before);
+  Alcotest.(check int) "queue drained" 0 sh.Replica.sh_dirty_n;
+  ignore (dec_stock east 1);
+  ignore (Replica.quick_digest east);
+  Alcotest.(check int) "requeued after the refresh" 2
+    (sh.Replica.sh_rehashed - before);
+  Alcotest.(check string) "digest still exact"
+    (Replica.state_digest_scratch east) (Replica.state_digest east)
+
 (* generator seed from IPA_TEST_SEED (printed on failure) *)
 let qcheck_tests =
   List.map
@@ -1592,6 +1924,7 @@ let qcheck_tests =
       prop_interval_brackets_strong;
       prop_bound_zero_equals_strong;
       prop_weak_converges_at_quiescence;
+      prop_index_and_gc_match_scans;
     ]
 
 let () =
@@ -1624,6 +1957,8 @@ let () =
             test_digest_ignores_read_created_objects;
           Alcotest.test_case "quiescent detects divergence" `Quick
             test_quiescent_detects_state_divergence;
+          Alcotest.test_case "dirty key hashed once per refresh" `Quick
+            test_dirty_bit_hashes_once;
         ] );
       ( "anti-entropy",
         [
@@ -1662,6 +1997,8 @@ let () =
           Alcotest.test_case "gc awset payloads" `Quick test_gc_awset_payload;
           Alcotest.test_case "log truncation waits for stability" `Quick
             test_truncation_retains_unstable_then_drops;
+          Alcotest.test_case "incremental gc = full scan, round by round"
+            `Quick test_gc_incremental_rounds;
         ] );
       ( "snapshot/restore",
         [
