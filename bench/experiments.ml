@@ -74,11 +74,22 @@ let bench_row ~(experiment : string) (fields : (string * jv) list) : string =
   pr "BENCH %s@." row;
   row
 
+(* the checked-out commit, for BENCH provenance *)
+let git_commit () : string =
+  match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
+  | exception Unix.Unix_error _ -> "unknown"
+  | ic -> (
+      let line = In_channel.input_line ic in
+      match (Unix.close_process_in ic, line) with
+      | Unix.WEXITED 0, Some h when h <> "" -> h
+      | _ -> "unknown")
+
 (** Write an experiment's accumulated rows (plus header fields) to its
-    committed [BENCH_*.json] file.  A [--quick] run (header field
-    ["quick"] true) writes [BENCH_*.quick.json] beside it instead
-    (gitignored), so a smoke run never overwrites the committed full
-    run. *)
+    committed [BENCH_*.json] file.  Every header also records the
+    checked-out commit and the host's core count.  A [--quick] run
+    (header field ["quick"] true) writes [BENCH_*.quick.json] beside it
+    instead (gitignored), so a smoke run never overwrites the committed
+    full run. *)
 let write_bench_json ~(file : string) ~(experiment : string)
     (header : (string * jv) list) (rows : string list) : unit =
   let file =
@@ -87,12 +98,18 @@ let write_bench_json ~(file : string) ~(experiment : string)
     else file
   in
   pr "(wrote %s)@." file;
+  let provenance =
+    [
+      ("commit", S (git_commit ()));
+      ("cores", I (Domain.recommended_domain_count ()));
+    ]
+  in
   let oc = open_out file in
   Printf.fprintf oc "{%s,\"rows\":[\n%s\n]}\n"
     (String.concat ","
        (List.map
           (fun (k, v) -> Fmt.str "\"%s\":%s" k (jv_render v))
-          (("experiment", S experiment) :: header)))
+          ((("experiment", S experiment) :: header) @ provenance)))
     (String.concat ",\n" rows);
   close_out oc
 
@@ -933,7 +950,7 @@ let fault () =
       @. all updates while its primary is down.)@."
 
 (* ------------------------------------------------------------------ *)
-(* Fast-path replication runtime (interning, digest cache, truncation) *)
+(* Replication runtime throughput (digest polls, sync, truncation)     *)
 (* ------------------------------------------------------------------ *)
 
 (** One closed replication run, driven directly through
@@ -983,9 +1000,9 @@ let runtime_run ~(replicas : int) ~(batch : int) ~(batches : int) () :
     done;
     Option.get (Txn.commit tx)
   in
-  (* seed the full key population (untimed warmup): the baseline digest
-     re-renders all of it on every poll, the fast path only the keys the
-     last commit touched *)
+  (* seed the full key population (untimed warmup): a from-scratch digest
+     would re-render all of it on every poll, the rolling digest only
+     re-hashes the keys the last commit touched *)
   let seeded = ref 0 in
   while !seeded < runtime_population do
     let k = min 64 (runtime_population - !seeded) in
@@ -1014,7 +1031,7 @@ let runtime_run ~(replicas : int) ~(batch : int) ~(batches : int) () :
         if dst.Replica.id <> origin.Replica.id && j <> victim then
           Replica.receive dst b)
       reps;
-    (* the convergence poll the fast path is for *)
+    (* the per-commit convergence poll *)
     let q0 = Unix.gettimeofday () in
     if Cluster.quiescent c then incr quiescent_polls;
     quiesce_s := !quiesce_s +. (Unix.gettimeofday () -. q0);
@@ -1054,15 +1071,15 @@ let runtime_run ~(replicas : int) ~(batch : int) ~(batches : int) () :
     rt_converged = Cluster.quiescent c;
   }
 
-(** The fast-path runtime benchmark: every (replica count, batch size)
-    configuration runs the identical schedule twice — all fast paths on,
-    then all off — asserts the runs are observably equivalent
-    (bit-identical final state digests, same convergence outcomes and
-    batch counts) and reports throughput, quiescence-poll cost and
-    batch-log footprint.  Writes [BENCH_RUNTIME.json] next to the one
-    BENCH line it prints per configuration. *)
+(** The replication runtime benchmark: every (replica count, batch size)
+    configuration replays the same deterministic schedule, asserts that
+    the cluster converged, that stable truncation fired and that every
+    replica ends on the same exact state digest, and reports absolute
+    throughput, quiescence-poll cost and batch-log footprint.  Writes
+    [BENCH_RUNTIME.json] next to the one BENCH line it prints per
+    configuration. *)
 let runtime ?(quick = false) () =
-  pr "== Fast-path replication runtime: on vs off ==@.";
+  pr "== Replication runtime throughput ==@.";
   let configs =
     if quick then [ (3, 8) ]
     else
@@ -1071,84 +1088,61 @@ let runtime ?(quick = false) () =
         [ 3; 5; 8 ]
   in
   let batches = if quick then 192 else 768 in
-  pr "%-14s %9s %9s %8s %11s %11s %7s %7s %6s@." "config" "on[s]" "off[s]"
-    "speedup" "batch/s-on" "batch/s-off" "trunc" "logmax" "ident";
+  pr "%-14s %9s %11s %10s %7s %7s %6s@." "config" "wall[s]" "batch/s"
+    "quiesce[s]" "trunc" "logmax" "ident";
   let rows = ref [] in
-  let on_total = ref 0.0 and off_total = ref 0.0 in
+  let wall_total = ref 0.0 and batches_total = ref 0 in
   List.iter
     (fun (n, k) ->
-      (* the schedule is deterministic, so every trial of a mode is the
-         same computation; report the minimum wall per mode — the trial
-         least disturbed by unrelated load on the shared machine.  The
-         equivalence assertions below hold for any on/off pair. *)
+      (* the schedule is deterministic, so every trial is the same
+         computation; report the minimum wall — the trial least
+         disturbed by unrelated load on the shared machine *)
       let trials = if quick then 1 else 3 in
-      let best mode =
-        let run () =
-          Fastpath.with_all mode (fun () ->
-              runtime_run ~replicas:n ~batch:k ~batches ())
-        in
-        let best = ref (run ()) in
-        for _ = 2 to trials do
-          let r = run () in
-          if r.rt_wall_s < !best.rt_wall_s then best := r
-        done;
-        !best
-      in
-      let on = best true in
-      let off = best false in
-      if on.rt_digests <> off.rt_digests then
-        failwith "runtime: fast paths changed the replicated state";
-      if
-        on.rt_converged <> off.rt_converged
-        || on.rt_batches <> off.rt_batches
-        || on.rt_quiescent_polls <> off.rt_quiescent_polls
-      then failwith "runtime: fast paths changed an observable outcome";
-      if not on.rt_converged then
+      let run () = runtime_run ~replicas:n ~batch:k ~batches () in
+      let r = ref (run ()) in
+      for _ = 2 to trials do
+        let t = run () in
+        if t.rt_wall_s < !r.rt_wall_s then r := t
+      done;
+      let r = !r in
+      if not r.rt_converged then
         failwith "runtime: cluster failed to converge";
-      if on.rt_log_truncated = 0 then
+      if r.rt_log_truncated = 0 then
         failwith "runtime: stable truncation never fired";
-      on_total := !on_total +. on.rt_wall_s;
-      off_total := !off_total +. off.rt_wall_s;
-      let tput (r : runtime_result) =
-        float_of_int r.rt_batches /. r.rt_wall_s
-      in
-      let speedup = tput on /. tput off in
-      pr "%dx%-12d %9.3f %9.3f %7.1fx %11.0f %11.0f %7d %7d %6s@." n k
-        on.rt_wall_s off.rt_wall_s speedup (tput on) (tput off)
-        on.rt_log_truncated on.rt_log_hwm "yes";
+      if List.exists (( <> ) (List.hd r.rt_digests)) r.rt_digests then
+        failwith "runtime: replicas ended on different state digests";
+      wall_total := !wall_total +. r.rt_wall_s;
+      batches_total := !batches_total + r.rt_batches;
+      let tput = float_of_int r.rt_batches /. r.rt_wall_s in
+      pr "%dx%-12d %9.4f %11.0f %10.4f %7d %7d %6s@." n k r.rt_wall_s tput
+        r.rt_quiesce_s r.rt_log_truncated r.rt_log_hwm "yes";
       let row =
         bench_row ~experiment:"runtime"
           [
             ("replicas", I n);
             ("batch", I k);
-            ("batches_total", I on.rt_batches);
-            ("wall_s", Fd (on.rt_wall_s, 4));
-            ("wall_s_baseline", Fd (off.rt_wall_s, 4));
-            ("speedup", Fd (speedup, 2));
-            ("batches_per_s", Fd (tput on, 0));
-            ("batches_per_s_baseline", Fd (tput off, 0));
-            ("quiesce_s", Fd (on.rt_quiesce_s, 4));
-            ("quiesce_s_baseline", Fd (off.rt_quiesce_s, 4));
-            ("quiescent_polls", I on.rt_quiescent_polls);
-            ("retransmitted", I on.rt_retransmitted);
-            ("log_final", I on.rt_log_final);
-            ("log_hwm", I on.rt_log_hwm);
-            ("log_truncated", I on.rt_log_truncated);
-            ("converged", B on.rt_converged);
+            ("batches_total", I r.rt_batches);
+            ("wall_s", Fd (r.rt_wall_s, 4));
+            ("batches_per_s", Fd (tput, 0));
+            ("quiesce_s", Fd (r.rt_quiesce_s, 4));
+            ("quiescent_polls", I r.rt_quiescent_polls);
+            ("retransmitted", I r.rt_retransmitted);
+            ("log_final", I r.rt_log_final);
+            ("log_hwm", I r.rt_log_hwm);
+            ("log_truncated", I r.rt_log_truncated);
+            ("converged", B r.rt_converged);
             ("identical", B true);
           ]
       in
       rows := row :: !rows)
     configs;
-  let aggregate = !off_total /. !on_total in
-  pr "@.aggregate speedup (sum of baseline walls / sum of fast walls): \
-      %.1fx@." aggregate;
+  let aggregate = float_of_int !batches_total /. !wall_total in
+  pr "@.aggregate throughput (all configs): %.0f batches/s@." aggregate;
   write_bench_json ~file:"BENCH_RUNTIME.json" ~experiment:"runtime"
-    [ ("quick", B quick); ("aggregate_speedup", Fd (aggregate, 2)) ]
+    [ ("quick", B quick); ("aggregate_batches_per_s", Fd (aggregate, 0)) ]
     (List.rev !rows);
-  pr "(both modes replay the identical \
-      schedule and@. must produce bit-identical per-replica state \
-      digests — the fast paths are@. observably free.)@."
+  pr "(every config converges, truncates its stable log prefix and ends \
+      with@. bit-identical per-replica state digests.)@."
 
 (* ------------------------------------------------------------------ *)
 (* Scale: million-key sharded store + digest-tree anti-entropy         *)
@@ -1394,9 +1388,9 @@ let scale ?(quick = false) () =
 (* ------------------------------------------------------------------ *)
 
 (** Durability & delta-replication experiment (DESIGN.md §9), three
-    phases: (1) wire cost of repairing a lagging replica under the
-    three repair strategies over a large converged set plus hot
-    counters — delta groups must come in at least 2x under full state;
+    phases: (1) wire cost of repairing a lagging replica over a large
+    converged set plus hot counters, raw batches vs delta groups — the
+    deltas must cost at most half the raw batches;
     (2) WAL crash-recovery timing, demanding a bit-identical post-
     recovery digest; (3) a crash-armed fuzz campaign across the whole
     catalog.  Writes [BENCH_DURABILITY.json]. *)
@@ -1477,27 +1471,22 @@ let durability ?(quick = false) () =
     st.Sync.r_bytes
   in
   let b_batches = run_mode "batches" Sync.Batches `Batch in
-  let b_state = run_mode "full_state" Sync.Full_state `State in
   let b_delta = run_mode "deltas" Sync.Deltas `Delta in
-  if b_delta * 2 > b_state then
+  if b_delta * 2 > b_batches then
     failwith
       (Fmt.str
-         "durability: delta repair not 2x under full state (%d vs %d bytes)"
-         b_delta b_state);
-  pr "delta sync ships %.1fx fewer bytes than full state (%.1fx vs raw \
-      batches)@."
-    (float_of_int b_state /. float_of_int b_delta)
-    (float_of_int b_batches /. float_of_int b_delta);
+         "durability: delta repair not 2x under raw batches (%d vs %d bytes)"
+         b_delta b_batches);
+  let ratio = float_of_int b_batches /. float_of_int b_delta in
+  pr "delta sync ships %.1fx fewer bytes than raw batches@." ratio;
   let dv = metrics.Metrics.delivery in
   push
     (bench_row ~experiment:"durability"
        [
          ("phase", S "metrics");
          ("sync_bytes_batch", I dv.Metrics.sync_bytes_batch);
-         ("sync_bytes_state", I dv.Metrics.sync_bytes_state);
          ("sync_bytes_delta", I dv.Metrics.sync_bytes_delta);
-         ("state_over_delta",
-          Fd (float_of_int b_state /. float_of_int b_delta, 2));
+         ("batches_over_delta", Fd (ratio, 2));
        ]);
   (* ---- phase 2: WAL crash recovery ------------------------------- *)
   let wal_dir =

@@ -19,8 +19,6 @@ type delivery = {
   mutable visibility_n : int;
   mutable sync_bytes_batch : int;
       (** anti-entropy bytes on the wire shipping raw batches *)
-  mutable sync_bytes_state : int;
-      (** bytes shipping full rendered state of divergent keys *)
   mutable sync_bytes_delta : int;  (** bytes shipping delta groups *)
 }
 
@@ -81,7 +79,6 @@ let create () =
         visibility = [];
         visibility_n = 0;
         sync_bytes_batch = 0;
-        sync_bytes_state = 0;
         sync_bytes_delta = 0;
       };
     escrow =
@@ -122,15 +119,14 @@ let record_visibility (m : t) (latency : float) : unit =
   m.delivery.visibility_n <- m.delivery.visibility_n + 1
 
 (** Account anti-entropy bytes on the wire, bucketed by what was
-    shipped: raw batches, full rendered state, or delta groups.  The
+    shipped: raw batches or delta groups.  The
     store layer cannot depend on this library, so callers holding a
     [Sync.repair_stats] bump these after each repair. *)
-let record_sync_bytes (m : t) ~(kind : [ `Batch | `State | `Delta ])
+let record_sync_bytes (m : t) ~(kind : [ `Batch | `Delta ])
     (bytes : int) : unit =
   let d = m.delivery in
   match kind with
   | `Batch -> d.sync_bytes_batch <- d.sync_bytes_batch + bytes
-  | `State -> d.sync_bytes_state <- d.sync_bytes_state + bytes
   | `Delta -> d.sync_bytes_delta <- d.sync_bytes_delta + bytes
 
 (** Record the outcome of one escrow-guarded decrement attempt: covered
@@ -241,9 +237,9 @@ let pp_delivery ppf (m : t) =
         d.batches_sent d.batches_dropped d.batches_duplicated
         d.batches_retransmitted d.duplicates_suppressed d.pending_hwm p50 p95
         p99;
-      if d.sync_bytes_batch + d.sync_bytes_state + d.sync_bytes_delta > 0 then
-        Fmt.pf ppf "  sync-bytes batch/state/delta %d/%d/%d"
-          d.sync_bytes_batch d.sync_bytes_state d.sync_bytes_delta
+      if d.sync_bytes_batch + d.sync_bytes_delta > 0 then
+        Fmt.pf ppf "  sync-bytes batch/delta %d/%d" d.sync_bytes_batch
+          d.sync_bytes_delta
   | _ -> ()
 
 (** One-line escrow/reservation-path summary: blocking misses vs local

@@ -15,8 +15,6 @@ type delivery = {
   mutable visibility_n : int;
   mutable sync_bytes_batch : int;
       (** anti-entropy bytes on the wire shipping raw batches *)
-  mutable sync_bytes_state : int;
-      (** bytes shipping full rendered state of divergent keys *)
   mutable sync_bytes_delta : int;  (** bytes shipping delta groups *)
 }
 
@@ -66,7 +64,7 @@ val record_failure : t -> unit
 val record_visibility : t -> float -> unit
 
 (** Account anti-entropy wire bytes, bucketed by repair strategy. *)
-val record_sync_bytes : t -> kind:[ `Batch | `State | `Delta ] -> int -> unit
+val record_sync_bytes : t -> kind:[ `Batch | `Delta ] -> int -> unit
 
 (** Record one escrow-guarded decrement attempt: covered locally
     ([`Hit]) or blocked on a synchronous fetch of [n] rights

@@ -28,10 +28,6 @@ let others (c : t) (id : string) : Replica.t list =
 let broadcast_now (c : t) (b : Replica.batch) : unit =
   List.iter (fun r -> Replica.receive r b) (others c b.Replica.b_origin)
 
-(** Commit a transaction and broadcast instantly (test convenience). *)
-let commit_and_sync (c : t) (tx : Txn.t) : unit =
-  match Txn.commit tx with None -> () | Some b -> broadcast_now c b
-
 (** A snapshot of every replica, for the fuzzer's shrink re-runs. *)
 type snapshot = (string * Replica.snapshot) list
 
@@ -48,12 +44,12 @@ let restore (c : t) (s : snapshot) : unit =
     lose messages, equal clocks alone no longer prove equal state (a
     double-applied counter increment leaves the clock untouched).
 
-    With {!Fastpath.digest_cache} on, the comparison uses the rolling
-    combinable digest — O(keys changed since the last poll) per replica
-    instead of a full state re-render, which is what makes high-rate
-    convergence polling affordable.  The outcome is identical either
-    way (both digests are equal exactly when the observable states
-    agree). *)
+    The comparison uses the rolling combinable digest — O(keys changed
+    since the last poll) per replica instead of a full state re-render,
+    which is what makes high-rate convergence polling affordable.  With
+    {!Fastpath.digest_cache} off it compares the from-scratch
+    {!Replica.state_digest} instead; the outcome is identical (both
+    digests are equal exactly when the observable states agree). *)
 let quiescent (c : t) : bool =
   match c.replicas with
   | [] -> true

@@ -1,38 +1,9 @@
-(** Runtime toggles for the replication fast path.
+(** Replication fast-path switch. *)
 
-    Every optimization here is observably equivalence-preserving:
-    digests, convergence outcomes and anti-entropy behaviour are
-    identical with a flag on or off.  The flags exist so the [runtime]
-    benchmark (and the on-vs-off equivalence tests) can measure the
-    baseline cost without reverting the code. *)
-
-(** Incremental state digests: cache per-key observable renderings,
-    track dirty keys, and compare replicas through a combinable rolling
-    digest — [Cluster.quiescent] becomes O(changed keys) per poll
-    instead of O(total state). *)
+(** Which digest {!Cluster.quiescent} compares: the rolling digest
+    ({!Replica.digest_equal}, O(keys changed since the last poll)) when
+    on, the from-scratch reference render ({!Replica.state_digest},
+    O(total state)) when off.  Both give the same answer.  The
+    end-to-end benchmark's settle check is the only code that turns it
+    off. *)
 let digest_cache = ref true
-
-(** Hash-set membership index for [Sync.missing_for] instead of
-    O(n·m) [List.mem] scans over the peer's buffered-batch keys. *)
-let sync_index = ref true
-
-(** Causally-stable batch-log truncation during [Replica.gc]. *)
-let truncate_log = ref true
-
-let set_all (v : bool) : unit =
-  digest_cache := v;
-  sync_index := v;
-  truncate_log := v
-
-(** Run [f] with all fast-path optimizations forced to [on], restoring
-    the previous flags afterwards. *)
-let with_all (on : bool) (f : unit -> 'a) : 'a =
-  let saved = (!digest_cache, !sync_index, !truncate_log) in
-  set_all on;
-  Fun.protect
-    ~finally:(fun () ->
-      let d, s, t = saved in
-      digest_cache := d;
-      sync_index := s;
-      truncate_log := t)
-    f

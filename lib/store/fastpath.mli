@@ -1,18 +1,7 @@
-(** Runtime toggles for the replication fast path — all observably
-    equivalence-preserving; used by the [runtime] benchmark and the
-    on-vs-off equivalence tests to measure the unoptimized baseline. *)
+(** Replication fast-path switch. *)
 
-(** Incremental state digests (dirty-key tracking + rolling digest). *)
+(** [true] (the default): {!Cluster.quiescent} compares rolling digests.
+    [false]: it compares the from-scratch reference digest
+    {!Replica.state_digest}.  The outcome is the same either way; the
+    end-to-end benchmark's settle check is its only setter. *)
 val digest_cache : bool ref
-
-(** Hash-set membership index in [Sync.missing_for]. *)
-val sync_index : bool ref
-
-(** Causally-stable batch-log truncation during [Replica.gc]. *)
-val truncate_log : bool ref
-
-(** Set every flag at once. *)
-val set_all : bool -> unit
-
-(** Run a thunk with all flags forced on/off, restoring them after. *)
-val with_all : bool -> (unit -> 'a) -> 'a

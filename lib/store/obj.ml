@@ -109,21 +109,6 @@ let join_deltas (a : delta) (b : delta) : delta =
   | D_pncounter x, D_pncounter y -> D_pncounter (Pncounter.merge x y)
   | _ -> raise (Type_mismatch "Obj.join_deltas: mismatched deltas")
 
-(** Is full-state merge defined for this object? *)
-let mergeable (o : t) : bool =
-  match o with
-  | O_awset _ | O_rwset _ | O_pncounter _ -> true
-  | _ -> false
-
-(** Full-state join (mergeable types only): the whole state viewed as
-    one big delta. *)
-let as_delta (o : t) : delta option =
-  match o with
-  | O_awset s -> Some (D_awset s)
-  | O_rwset s -> Some (D_rwset s)
-  | O_pncounter s -> Some (D_pncounter s)
-  | _ -> None
-
 let delta_otype (d : delta) : otype =
   match d with
   | D_awset _ -> T_awset

@@ -67,12 +67,6 @@ val join_delta : t -> delta -> t
 (** Join two deltas of the same key (group compaction). *)
 val join_deltas : delta -> delta -> delta
 
-(** Is full-state merge defined for this object? *)
-val mergeable : t -> bool
-
-(** The whole state viewed as one big delta (mergeable types only). *)
-val as_delta : t -> delta option
-
 val delta_otype : delta -> otype
 
 (** {1 Typed accessors} (raise {!Type_mismatch} on the wrong variant) *)

@@ -785,11 +785,17 @@ let obs_string (o : Obj.t) : string option =
       let v = Compcounter.raw_value c in
       if v = 0 then None else Some (Fmt.str "cc:%d" v)
 
-(** From-scratch digest of the replica's {e observable} state: renders
-    every object.  Kept as the reference implementation — the cached
-    {!state_digest} must produce a bit-identical string (asserted by the
-    equivalence tests and the [runtime] benchmark). *)
-let state_digest_scratch (r : t) : string =
+(** A digest of the replica's {e observable} state, rendered from
+    scratch: two replicas that applied the same set of batches digest
+    identically, whatever the arrival order; keys whose state is
+    indistinguishable from the empty object are skipped, so a replica
+    that merely {e read} a key digests the same as one that never
+    touched it.  It renders every object, so it is bit-identical
+    whatever the shard count.  Convergence {e polling} goes through
+    {!digest_equal} instead, which the rolling hashes below accelerate;
+    the exact digest is only demanded at checkpoints (final comparison,
+    failure reports). *)
+let state_digest (r : t) : string =
   let entries =
     fold_data r
       (fun key obj acc ->
@@ -883,17 +889,6 @@ let refresh_shard (r : t) (i : int) : unit = refresh_shard_s r.shards.(i)
 
 let refresh_digest (r : t) : unit = Array.iter refresh_shard_s r.shards
 
-(** A digest of the replica's {e observable} state: two replicas that
-    applied the same set of batches digest identically, whatever the
-    arrival order; keys whose state is indistinguishable from the empty
-    object are skipped, so a replica that merely {e read} a key digests
-    the same as one that never touched it.  Always the full reference
-    rendering (so it is bit-identical whatever the shard count or
-    fast-path flags) — convergence {e polling} goes through
-    {!digest_equal}, which is what the rolling hashes accelerate; the
-    exact digest is only demanded at checkpoints (final comparison,
-    failure reports). *)
-let state_digest (r : t) : string = state_digest_scratch r
 
 (* XOR / wrapping sum of all shard digests — the digest tree's root.
    Equal across shard counts because both combinations are associative
@@ -987,8 +982,8 @@ let truncate_stable (r : t) ~(stable : Vclock.t) : int =
 
 (** Reclaim state that causal stability has made dead: rem-wins barriers
     (and the adds they permanently mask), payloads of stably-removed
-    add-wins elements (§4.2.1), and — with the fast path enabled —
-    batch-log entries every peer is known to have applied (counted in
+    add-wins elements (§4.2.1), and batch-log entries every peer is
+    known to have applied (counted in
     [log_truncated]; the retained-log high-water mark is [log_hwm]).
     Returns the number of CRDT metadata records reclaimed.  GC changes
     only internal metadata, never observable state, so keys are not
@@ -1051,7 +1046,7 @@ let gc (r : t) : int =
       | _ -> Hashtbl.reset es);
       if Hashtbl.length es = 0 then None else Some es)
     r.gc_elts;
-  if !Fastpath.truncate_log then ignore (truncate_stable r ~stable);
+  ignore (truncate_stable r ~stable);
   !reclaimed
 
 (* ------------------------------------------------------------------ *)
@@ -1408,11 +1403,6 @@ let join_delta_kid (r : t) (kid : int) (d : Obj.delta) : unit =
       List.iter (gc_watch r kid) (Rwset.barrier_elements frag);
       if Rwset.has_wild frag then Hashtbl.replace r.gc_wild kid ()
   | _ -> ()
-
-(** Join a delta fragment into a key's object (creating it if
-    absent). *)
-let join_delta_key (r : t) (key : string) (d : Obj.delta) : unit =
-  join_delta_kid r (Intern.id key) d
 
 (** Apply a delta group.  Accepted only when it starts exactly at the
     next undelivered commit of its origin ([g_from = applied + 1]) and

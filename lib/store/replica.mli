@@ -224,17 +224,12 @@ val pending_keys : t -> (string * int) list
     first). *)
 val log_after : t -> origin:string -> known:int -> batch list
 
-(** Digest of the replica's observable state: converged replicas digest
-    identically regardless of delivery order, internal metadata or
-    shard count.  Always the full reference rendering (bit-identical
-    whatever the fast-path flags) — convergence polling goes through
-    {!digest_equal} instead; the exact digest is only demanded at
-    checkpoints. *)
+(** Digest of the replica's observable state, rendered from scratch
+    (every object): converged replicas digest identically regardless of
+    delivery order, internal metadata or shard count.  Convergence
+    polling goes through {!digest_equal} instead; the exact digest is
+    only demanded at checkpoints. *)
 val state_digest : t -> string
-
-(** Reference from-scratch digest (always renders every object);
-    [state_digest] must match it bit for bit. *)
-val state_digest_scratch : t -> string
 
 (** Combinable rolling digest: equal between replicas iff their
     observable states agree (up to hash collision in the paired XOR and
@@ -267,7 +262,7 @@ val truncate_stable : t -> stable:Vclock.t -> int
 
 (** Reclaim CRDT metadata made dead by causal stability (rem-wins
     barriers, stably-removed payloads) and truncate the stable batch-log
-    prefix (when {!Fastpath.truncate_log} is on).  Returns CRDT records
+    prefix.  Returns CRDT records
     reclaimed.  Visits only the set entries removes have left behind
     since they were last found live or reclaimed ([gc_elts]), not the
     keyspace. *)
@@ -322,10 +317,6 @@ type delta_group = {
     origin-events into one delta group ([None] if the log holds
     none). *)
 val delta_group_of : t -> origin:string -> known:int -> delta_group option
-
-(** Join a delta fragment into a key's object (creating it if
-    absent). *)
-val join_delta_key : t -> string -> Obj.delta -> unit
 
 (** Apply a delta group.  Accepted only when it starts exactly at the
     origin's next undelivered commit and its cross-origin dependencies

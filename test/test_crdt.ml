@@ -592,33 +592,6 @@ let prop_rwset_concurrent_convergence =
       Rwset.elements s1 = Rwset.elements s2)
 
 (* ------------------------------------------------------------------ *)
-(* Unique identifiers (pre-partitioned)                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_idgen_unique_across_replicas () =
-  let g1 = Idgen.create "r1" and g2 = Idgen.create "r2" in
-  let ids =
-    List.init 100 (fun _ -> Idgen.fresh g1)
-    @ List.init 100 (fun _ -> Idgen.fresh g2)
-  in
-  Alcotest.(check int) "no collisions" 200
-    (List.length (List.sort_uniq String.compare ids))
-
-let test_idgen_blocks_disjoint () =
-  let b0 = Idgen.block ~index:0 ~n_replicas:3 in
-  let b1 = Idgen.block ~index:1 ~n_replicas:3 in
-  let b2 = Idgen.block ~index:2 ~n_replicas:3 in
-  let ids =
-    List.concat_map (fun b -> List.init 50 (fun _ -> Idgen.fresh_int b))
-      [ b0; b1; b2 ]
-  in
-  Alcotest.(check int) "disjoint partitions" 150
-    (List.length (List.sort_uniq compare ids));
-  match Idgen.block ~index:3 ~n_replicas:3 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "out-of-range index must be rejected"
-
-(* ------------------------------------------------------------------ *)
 (* Garbage collection at the CRDT level                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -714,12 +687,6 @@ let () =
           Alcotest.test_case "lww" `Quick test_lww;
           Alcotest.test_case "lww tiebreak" `Quick test_lww_tiebreak;
           Alcotest.test_case "mvreg" `Quick test_mvreg_concurrent;
-        ] );
-      ( "idgen",
-        [
-          Alcotest.test_case "unique across replicas" `Quick
-            test_idgen_unique_across_replicas;
-          Alcotest.test_case "disjoint blocks" `Quick test_idgen_blocks_disjoint;
         ] );
       ( "gc",
         [

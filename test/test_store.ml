@@ -10,6 +10,19 @@ let add_to = Testutil.add_to
 let remove_from = Testutil.remove_from
 let elements = Testutil.elements
 
+(* the rolling digest agrees with the from-scratch render: two replicas
+   compare equal under [digest_equal] exactly when their [state_digest]s
+   are equal *)
+let digests_coherent (c : Cluster.t) : bool =
+  List.for_all
+    (fun (a : Replica.t) ->
+      List.for_all
+        (fun (b : Replica.t) ->
+          Replica.digest_equal a b
+          = (Replica.state_digest a = Replica.state_digest b))
+        c.Cluster.replicas)
+    c.Cluster.replicas
+
 (* ------------------------------------------------------------------ *)
 (* Basic replication                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -657,12 +670,10 @@ let test_snapshot_restore_replica_still_works () =
     (fun (r : Replica.t) ->
       Alcotest.(check (list string))
         (r.Replica.id ^ " sees post-restore commit")
-        [ "alice"; "carol" ] (elements r "players");
-      Alcotest.(check string)
-        (r.Replica.id ^ " incremental digest coherent")
-        (Replica.state_digest_scratch r)
-        (Replica.state_digest r))
+        [ "alice"; "carol" ] (elements r "players"))
     c.Cluster.replicas;
+  Alcotest.(check bool) "incremental digest coherent" true
+    (digests_coherent c);
   Alcotest.(check bool) "quiescent after restore + commit" true
     (Cluster.quiescent c)
 
@@ -701,14 +712,9 @@ let test_shard_count_invariance () =
     Alcotest.(check bool)
       (Printf.sprintf "quiescent at %d shards" shards)
       true (Cluster.quiescent c);
-    List.iter
-      (fun (r : Replica.t) ->
-        Alcotest.(check string)
-          (Printf.sprintf "%s scratch coherent at %d shards" r.Replica.id
-             shards)
-          (Replica.state_digest_scratch r)
-          (Replica.state_digest r))
-      c.Cluster.replicas;
+    Alcotest.(check bool)
+      (Printf.sprintf "digests coherent at %d shards" shards)
+      true (digests_coherent c);
     ( List.map
         (fun (r : Replica.t) -> Replica.state_digest r)
         c.Cluster.replicas,
@@ -777,14 +783,9 @@ let test_snapshot_restore_across_shards () =
            c.Cluster.replicas);
       (* the restored cluster keeps working, digests stay coherent *)
       Cluster.broadcast_now c (inc_keys east [ "k-5" ]);
-      List.iter
-        (fun (r : Replica.t) ->
-          Alcotest.(check string)
-            (Printf.sprintf "%s coherent post-restore (%d shards)"
-               r.Replica.id shards)
-            (Replica.state_digest_scratch r)
-            (Replica.state_digest r))
-        c.Cluster.replicas;
+      Alcotest.(check bool)
+        (Printf.sprintf "digests coherent post-restore (%d shards)" shards)
+        true (digests_coherent c);
       Alcotest.(check bool)
         (Printf.sprintf "quiescent after restore at %d shards" shards)
         true (Cluster.quiescent c))
@@ -1034,7 +1035,7 @@ let test_wal_group_commit_loses_unflushed_applies () =
         (stock_value east))
 
 (* ------------------------------------------------------------------ *)
-(* Delta repair: convergence and wire-cost vs full state               *)
+(* Delta repair: convergence and wire cost vs raw batches              *)
 (* ------------------------------------------------------------------ *)
 
 let test_delta_repair_fewer_bytes () =
@@ -1066,13 +1067,7 @@ let test_delta_repair_fewer_bytes () =
     st.Sync.r_bytes
   in
   let bytes_delta = run_mode Sync.Deltas in
-  let bytes_state = run_mode Sync.Full_state in
   let bytes_batches = run_mode Sync.Batches in
-  Alcotest.(check bool)
-    (Printf.sprintf "deltas at least 2x cheaper than full state (%d vs %d)"
-       bytes_delta bytes_state)
-    true
-    (bytes_delta * 2 <= bytes_state);
   Alcotest.(check bool)
     (Printf.sprintf "deltas no dearer than raw batches (%d vs %d)" bytes_delta
        bytes_batches)
@@ -1139,17 +1134,19 @@ let prop_store_convergence =
       List.for_all (fun v -> v = List.hd views) views)
 
 (* ------------------------------------------------------------------ *)
-(* Fast-path equivalence properties                                    *)
+(* Randomized replication schedules                                    *)
 (* ------------------------------------------------------------------ *)
 
 (* Run a randomized replication schedule: interleaved commits, partial
    and lost deliveries, gc (hence stable truncation) while gaps are
-   still open, then anti-entropy recovery.  Checks the incremental
-   digest against the from-scratch reference at every gc point and at
-   the end, plus the quick-digest/exact-digest coherence.  Returns the
-   final per-replica exact digests, whether quiescence was reached, and
-   whether all internal digest checks held. *)
-let run_schedule (script : (int * string * int) list) (seed : int) :
+   still open, then anti-entropy recovery.  Checks that the rolling
+   digest agrees with the from-scratch one at every gc point and at the
+   end.  [on_step] runs after every commit, deferred delivery and
+   anti-entropy round.  Returns the final per-replica exact digests,
+   whether quiescence was reached, and whether all digest checks
+   held. *)
+let run_schedule ?(on_step = fun (_ : Cluster.t) -> ())
+    (script : (int * string * int) list) (seed : int) :
     string list * bool * bool =
   let c = three () in
   let ids = [ "dc-east"; "dc-west"; "dc-eu" ] in
@@ -1159,13 +1156,7 @@ let run_schedule (script : (int * string * int) list) (seed : int) :
     !st mod bound
   in
   let ok = ref true in
-  let check_digests () =
-    List.iter
-      (fun (r : Replica.t) ->
-        if Replica.state_digest r <> Replica.state_digest_scratch r then
-          ok := false)
-      c.Cluster.replicas
-  in
+  let check_digests () = if not (digests_coherent c) then ok := false in
   let deferred = ref [] in
   List.iteri
     (fun i (ri, e, kind) ->
@@ -1186,6 +1177,7 @@ let run_schedule (script : (int * string * int) list) (seed : int) :
             | 1 -> deferred := (id, b) :: !deferred
             | _ -> ())
         ids;
+      on_step c;
       if i mod 3 = 2 then begin
         ignore (Replica.gc (Cluster.replica c (List.nth ids (next_int 3))));
         check_digests ()
@@ -1199,7 +1191,11 @@ let run_schedule (script : (int * string * int) list) (seed : int) :
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done;
-  Array.iter (fun (id, b) -> Replica.receive (Cluster.replica c id) b) arr;
+  Array.iter
+    (fun (id, b) ->
+      Replica.receive (Cluster.replica c id) b;
+      on_step c)
+    arr;
   (* anti-entropy heals the losses; gc every round so truncation runs
      while gaps are still open — a truncated batch a peer still needed
      would wedge convergence and fail the property *)
@@ -1210,20 +1206,10 @@ let run_schedule (script : (int * string * int) list) (seed : int) :
     ignore (Sync.round s ~now:!now ~send:direct_send);
     now := !now +. 250.0;
     incr rounds;
-    List.iter (fun (r : Replica.t) -> ignore (Replica.gc r)) c.Cluster.replicas
+    List.iter (fun (r : Replica.t) -> ignore (Replica.gc r)) c.Cluster.replicas;
+    on_step c
   done;
   check_digests ();
-  (* quick-digest equality must coincide with exact-digest equality *)
-  let pairs = function
-    | (r0 : Replica.t) :: rest -> List.map (fun r -> (r0, r)) rest
-    | [] -> []
-  in
-  List.iter
-    (fun ((a : Replica.t), (b : Replica.t)) ->
-      let quick_eq = Replica.quick_digest a = Replica.quick_digest b in
-      let exact_eq = Replica.state_digest a = Replica.state_digest b in
-      if quick_eq <> exact_eq then ok := false)
-    (pairs c.Cluster.replicas);
   ( List.map (fun r -> Replica.state_digest r) c.Cluster.replicas,
     Cluster.quiescent c,
     !ok )
@@ -1245,15 +1231,55 @@ let prop_truncation_safe_under_loss =
       let _, quiescent, ok = run_schedule script seed in
       quiescent && ok)
 
-let prop_fastpath_equivalence =
+(* reference for [Sync.missing_for]: the same per-origin walk over the
+   batch log, with a linear [List.mem] scan of the buffered keys *)
+let missing_for_scan ~(src : Replica.t) (d : Sync.digest) :
+    Replica.batch list =
+  List.concat
+    (Hashtbl.fold
+       (fun origin _ acc ->
+         let known = Vclock.get d.Sync.d_vv origin in
+         List.filter
+           (fun (b : Replica.batch) ->
+             not (List.mem (b.Replica.b_origin, b.Replica.b_seq) d.Sync.d_have))
+           (Replica.log_after src ~origin ~known)
+         :: acc)
+       src.Replica.log [])
+
+let quiescent_with ~(cache : bool) (c : Cluster.t) : bool =
+  let saved = !Fastpath.digest_cache in
+  Fastpath.digest_cache := cache;
+  Fun.protect
+    ~finally:(fun () -> Fastpath.digest_cache := saved)
+    (fun () -> Cluster.quiescent c)
+
+let prop_sync_and_quiescence_match_references =
   QCheck.Test.make
-    ~name:"fastpath on/off: bit-identical digests and outcomes" ~count:40
+    ~name:"missing_for and quiescent match references" ~count:40
     schedule_gen
     (fun (script, seed) ->
-      let on = Fastpath.with_all true (fun () -> run_schedule script seed) in
-      let off = Fastpath.with_all false (fun () -> run_schedule script seed) in
-      let d_on, q_on, ok_on = on and d_off, q_off, ok_off = off in
-      d_on = d_off && q_on = q_off && q_on && ok_on && ok_off)
+      let agree = ref true in
+      let batch_keys =
+        List.map (fun (b : Replica.batch) ->
+            (b.Replica.b_origin, b.Replica.b_seq))
+      in
+      let on_step (c : Cluster.t) =
+        List.iter
+          (fun (dst : Replica.t) ->
+            let d = Sync.digest_of dst in
+            List.iter
+              (fun src ->
+                if
+                  batch_keys (Sync.missing_for ~src d)
+                  <> batch_keys (missing_for_scan ~src d)
+                then agree := false)
+              (Cluster.others c dst.Replica.id))
+          c.Cluster.replicas;
+        if quiescent_with ~cache:true c <> quiescent_with ~cache:false c then
+          agree := false
+      in
+      let _, quiescent, ok = run_schedule ~on_step script seed in
+      !agree && quiescent && ok)
 
 (* ------------------------------------------------------------------ *)
 (* Delta-group equivalence property                                    *)
@@ -1275,10 +1301,10 @@ let rw_remove (rep : Replica.t) (key : string) (e : string) : Replica.batch =
   Option.get (Txn.commit tx)
 
 let prop_delta_merge_equiv =
-  (* the three ways eu can learn east's history — replayed ops, one
-     joined delta group per origin, full rendered state — must land on
-     the same observable state, for every delta CRDT mixed freely *)
-  QCheck.Test.make ~name:"delta repair == full-state merge == op application"
+  (* the two ways eu can learn east's history — replayed ops, one joined
+     delta group per origin — must land on the same observable state,
+     for every delta CRDT mixed freely *)
+  QCheck.Test.make ~name:"delta repair == op application"
     ~count:60
     QCheck.(
       make
@@ -1311,9 +1337,7 @@ let prop_delta_merge_equiv =
         ignore (Sync.repair s ~mode ~src:east ~dst:eu);
         Replica.state_digest eu = d_ref
       in
-      Replica.state_digest west = d_ref
-      && try_mode Sync.Deltas
-      && try_mode Sync.Full_state)
+      Replica.state_digest west = d_ref && try_mode Sync.Deltas)
 
 (* ------------------------------------------------------------------ *)
 (* Consistency-typed reads                                             *)
@@ -1642,7 +1666,7 @@ let gc_full_scan (r : Replica.t) : int =
           | _ -> ())
         sh.Replica.sh_data)
     r.Replica.shards;
-  if !Fastpath.truncate_log then ignore (Replica.truncate_stable r ~stable);
+  ignore (Replica.truncate_stable r ~stable);
   !reclaimed
 
 (* what gc may change, per key: set metadata and the batch log *)
@@ -1909,8 +1933,7 @@ let test_dirty_bit_hashes_once () =
   ignore (Replica.quick_digest east);
   Alcotest.(check int) "requeued after the refresh" 2
     (sh.Replica.sh_rehashed - before);
-  Alcotest.(check string) "digest still exact"
-    (Replica.state_digest_scratch east) (Replica.state_digest east)
+  Alcotest.(check bool) "digest still exact" true (digests_coherent c)
 
 (* generator seed from IPA_TEST_SEED (printed on failure) *)
 let qcheck_tests =
@@ -1919,7 +1942,7 @@ let qcheck_tests =
     [
       prop_store_convergence;
       prop_truncation_safe_under_loss;
-      prop_fastpath_equivalence;
+      prop_sync_and_quiescence_match_references;
       prop_delta_merge_equiv;
       prop_interval_brackets_strong;
       prop_bound_zero_equals_strong;
@@ -2037,7 +2060,7 @@ let () =
         ] );
       ( "delta repair",
         [
-          Alcotest.test_case "delta sync cheaper than full state" `Quick
+          Alcotest.test_case "delta sync cheaper than batches" `Quick
             test_delta_repair_fewer_bytes;
         ] );
       ( "remote-first bounds",
