@@ -14,8 +14,8 @@
       pruning (both on by default), so benchmarks can measure the
       uninstrumented baseline with the same code path;
     - aggregated counters: SAT calls/conflicts/decisions/propagations,
-      cache hit rates, candidates generated/pruned/checked, and per-pair
-      wall time.
+      SAT wall time, cache hit rates, candidates generated/pruned/checked,
+      and per-pair wall time.
 
     A context may be reused across runs (counters accumulate) but must
     not be shared between different specifications: the grounding cache
@@ -32,6 +32,7 @@ type stats = {
   mutable sat_propagations : int;
   mutable sat_learnts : int;  (** learnt clauses created *)
   mutable sat_removed : int;  (** learnt clauses deleted by DB reduction *)
+  mutable sat_seconds : float;  (** wall time inside [Encode.solve] *)
   mutable ground_hits : int;
   mutable ground_misses : int;
   mutable verdict_hits : int;
@@ -100,6 +101,7 @@ let fresh_stats () =
     sat_propagations = 0;
     sat_learnts = 0;
     sat_removed = 0;
+    sat_seconds = 0.0;
     ground_hits = 0;
     ground_misses = 0;
     verdict_hits = 0;
@@ -161,6 +163,7 @@ let merge_stats ~(into : t) (child : t) : unit =
   a.sat_propagations <- a.sat_propagations + b.sat_propagations;
   a.sat_learnts <- a.sat_learnts + b.sat_learnts;
   a.sat_removed <- a.sat_removed + b.sat_removed;
+  a.sat_seconds <- a.sat_seconds +. b.sat_seconds;
   a.ground_hits <- a.ground_hits + b.ground_hits;
   a.ground_misses <- a.ground_misses + b.ground_misses;
   a.verdict_hits <- a.verdict_hits + b.verdict_hits;
@@ -211,6 +214,7 @@ let absorb ~(into : t) (child : t) : unit =
   s.sat_propagations <- 0;
   s.sat_learnts <- 0;
   s.sat_removed <- 0;
+  s.sat_seconds <- 0.0;
   s.ground_hits <- 0;
   s.ground_misses <- 0;
   s.verdict_hits <- 0;
@@ -382,20 +386,24 @@ let case_lookup (ctx : t option) (key : Oblig.key)
 (* Instrumentation                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(** Record one [Encode.solve] call: harvest the (fresh, single-use)
-    solver's counters into the aggregate. *)
-let record_solve (ctx : t option) (enc : Ipa_solver.Encode.ctx) : unit =
+(** Solve [enc]'s query and, with a context, charge the call to it:
+    its wall time and the (fresh, single-use) solver's counters. *)
+let solve (ctx : t option) (enc : Ipa_solver.Encode.ctx) : Ipa_solver.Sat.result =
   match ctx with
-  | None -> ()
+  | None -> Ipa_solver.Encode.solve enc
   | Some c ->
-      let st = Ipa_solver.Sat.stats (Ipa_solver.Encode.solver enc) in
+      let t0 = Unix.gettimeofday () in
+      let r = Ipa_solver.Encode.solve enc in
       let s = c.stats in
+      s.sat_seconds <- s.sat_seconds +. (Unix.gettimeofday () -. t0);
+      let st = Ipa_solver.Sat.stats (Ipa_solver.Encode.solver enc) in
       s.sat_calls <- s.sat_calls + 1;
       s.sat_conflicts <- s.sat_conflicts + st.Ipa_solver.Sat.n_conflicts;
       s.sat_decisions <- s.sat_decisions + st.Ipa_solver.Sat.n_decisions;
       s.sat_propagations <- s.sat_propagations + st.Ipa_solver.Sat.n_propagations;
       s.sat_learnts <- s.sat_learnts + st.Ipa_solver.Sat.n_learnts;
-      s.sat_removed <- s.sat_removed + st.Ipa_solver.Sat.n_removed
+      s.sat_removed <- s.sat_removed + st.Ipa_solver.Sat.n_removed;
+      r
 
 (** Time [f], attributing the elapsed wall time to [pair]. *)
 let time (ctx : t option) (pair : string * string) (f : unit -> 'a) : 'a =
@@ -455,7 +463,8 @@ let pp_stats ppf (s : stats) =
     \  verdict cache      %d hits / %d misses  (%.1f%%)@,\
     \  obligations        %d hits / %d misses  (%.1f%%)@,\
     \  witness cases      %d hits / %d misses  (%.1f%%)@,\
-    \  candidates         %d generated, %d pruned by witness, %d solver-checked@]"
+    \  candidates         %d generated, %d pruned by witness, %d solver-checked@,\
+    \  SAT time           %.3f s  (%.0f propagations/s)@]"
     s.total_seconds s.pairs_checked s.sat_calls s.sat_conflicts s.sat_decisions
     s.sat_propagations s.sat_learnts s.sat_removed s.ground_hits
     s.ground_misses
@@ -466,7 +475,9 @@ let pp_stats ppf (s : stats) =
     (100.0 *. oblig_hit_rate s)
     s.case_hits s.case_misses
     (100.0 *. case_hit_rate s)
-    s.cands_generated s.cands_pruned s.cands_checked
+    s.cands_generated s.cands_pruned s.cands_checked s.sat_seconds
+    (if s.sat_seconds > 0.0 then float_of_int s.sat_propagations /. s.sat_seconds
+     else 0.0)
 
 let pp_pair_times ppf (s : stats) =
   Fmt.pf ppf "@[<v>per-pair wall time:@,";

@@ -20,6 +20,7 @@ type stats = {
   mutable sat_propagations : int;
   mutable sat_learnts : int;  (** learnt clauses created *)
   mutable sat_removed : int;  (** learnt clauses deleted by DB reduction *)
+  mutable sat_seconds : float;  (** wall time inside [Encode.solve] *)
   mutable ground_hits : int;
   mutable ground_misses : int;
   mutable verdict_hits : int;
@@ -133,9 +134,10 @@ val case_lookup :
   t option -> Oblig.key -> (unit -> Oblig.witness option) ->
   Oblig.witness option
 
-(** Record one [Encode.solve] call: harvest the (fresh, single-use)
-    solver's counters into the aggregate. *)
-val record_solve : t option -> Ipa_solver.Encode.ctx -> unit
+(** [solve ctx enc] runs [Encode.solve enc]; with a context it also
+    adds the call, its wall time and the solver's counters to the
+    context's stats. *)
+val solve : t option -> Ipa_solver.Encode.ctx -> Ipa_solver.Sat.result
 
 (** Time a computation, attributing elapsed wall time to the pair. *)
 val time : t option -> string * string -> (unit -> 'a) -> 'a

@@ -187,8 +187,7 @@ let check_case_grounded ?ctx (spec : Types.t) (o1 : aop) (o2 : aop)
                gcs)
         in
         Encode.assert_formula enc viol;
-        let result = Encode.solve enc in
-        Anactx.record_solve ctx enc;
+        let result = Anactx.solve ctx enc in
         match result with
         | Unsat ->
             Encode.release enc;
@@ -299,8 +298,7 @@ let oblig_solve ?ctx (spec : Types.t) (o1 : aop) (o2 : aop)
             gcs)
         [ w1_base; w2_base ];
       Encode.assert_formula enc (Ground.gnot t);
-      let result = Encode.solve enc in
-      Anactx.record_solve ctx enc;
+      let result = Anactx.solve ctx enc in
       Encode.release enc;
       result = Sat)
     (Effects.merge_writes spec w1 w2)
@@ -458,8 +456,7 @@ let sequentially_safe ?ctx (spec : Types.t) (o : aop) : bool =
                 gcs)
          in
          Encode.assert_formula enc viol;
-         let result = Encode.solve enc in
-         Anactx.record_solve ctx enc;
+         let result = Anactx.solve ctx enc in
          Encode.release enc;
          match result with Unsat -> true | Sat -> false)
        (Pairctx.unifications spec o.cur noop)

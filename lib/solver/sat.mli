@@ -8,6 +8,14 @@
     reduction.  Clauses and variables may be added between [solve] calls
     (model enumeration via blocking clauses).
 
+    The data structures are MiniSat's (Eén & Sörensson, 2003): literals
+    are coded [2v]/[2v+1] inside the solver, clauses live in one int
+    arena, each literal's watchers are a growable int vector, the
+    decision level is a counter with an array of level starts, and
+    conflict analysis marks variables in an array.  The tests pin the
+    search to that of a list-based reference solver: the same
+    decisions, propagation order, learnt clauses, models and {!stats}.
+
     All solver state is per-instance, so distinct domains may each run
     their own solver concurrently — the contract the parallel pair
     analysis (DESIGN.md §8) relies on.  Instances are recycled through
@@ -58,7 +66,8 @@ val stats : t -> stats
 
 (** Return a finished solver to this domain's free list, scrubbed to a
     fresh-equivalent state (read stats and model values first — release
-    wipes them).  The caller must not touch the instance afterwards. *)
+    wipes them).  The caller must not touch the instance afterwards.
+    The list holds its instances weakly, so an idle one pins no memory. *)
 val release : t -> unit
 
 (** (instances accepted by {!release}, instances handed back out by

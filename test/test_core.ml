@@ -708,6 +708,32 @@ let test_stats_counters () =
   Alcotest.(check bool) "stats render" true
     (Astring.String.is_infix ~affix:"SAT solves" printed)
 
+(* The solver's search is observable through the analysis counters.  Pin
+   them for from-scratch jobs=1 runs (at jobs>1 the scan speculates past
+   the first conflict), so a change to the SAT core that alters the
+   search — decisions, propagation order, learnt clauses — fails here. *)
+let test_search_pinned () =
+  List.iter
+    (fun (name, spec, expect) ->
+      let r = Ipa.run ~ctx:(Anactx.create ()) ~jobs:1 (spec ()) in
+      let s = r.Ipa.stats in
+      Alcotest.(check (list int))
+        (name ^ ": calls/props/conflicts/decisions/learnts/removed")
+        expect
+        [
+          s.Anactx.sat_calls;
+          s.Anactx.sat_propagations;
+          s.Anactx.sat_conflicts;
+          s.Anactx.sat_decisions;
+          s.Anactx.sat_learnts;
+          s.Anactx.sat_removed;
+        ])
+    [
+      ("ticket", Catalog.ticket, [ 31; 10232; 117; 140; 0; 0 ]);
+      ("twitter", Catalog.twitter, [ 434; 63907; 869; 1441; 146; 0 ]);
+      ("tpcw", Catalog.tpcw, [ 108; 14949; 166; 340; 9; 0 ]);
+    ]
+
 let test_rule_choices_dedupe () =
   let spec = mini () in
   (* one opposing predicate: the spec's rules (e: add-wins among them)
@@ -1182,6 +1208,8 @@ let () =
           Alcotest.test_case "cache/prune equivalence (tournament)" `Slow
             test_cache_equivalence_tournament;
           Alcotest.test_case "stats counters" `Quick test_stats_counters;
+          Alcotest.test_case "search pinned (jobs=1)" `Quick
+            test_search_pinned;
           Alcotest.test_case "rule choices deduplicated" `Quick
             test_rule_choices_dedupe;
           Alcotest.test_case "rules_equal is set equality" `Quick

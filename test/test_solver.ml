@@ -375,24 +375,31 @@ let test_block_model_fresh_atom () =
   in
   Alcotest.(check int) "six models over enlarged atom set" 6 (1 + enum 0)
 
+(* pigeonhole: [n] pigeons into [n - 1] holes, pigeon [i] in hole [h] is
+   variable [i * (n - 1) + h + 1]; returns (variables, clauses) *)
+let pigeonhole n =
+  let var i h = (i * (n - 1)) + h + 1 in
+  let rows = List.init n (fun i -> List.init (n - 1) (fun h -> var i h)) in
+  let pairs =
+    List.concat_map
+      (fun h ->
+        List.concat_map
+          (fun i ->
+            List.init (n - 1 - i) (fun k -> [ -var i h; -var (i + 1 + k) h ]))
+          (List.init n Fun.id))
+      (List.init (n - 1) Fun.id)
+  in
+  (n * (n - 1), rows @ pairs)
+
 let test_sat_learnt_db_reduction () =
   (* a pigeonhole instance hard enough to learn past the initial DB cap:
      the verdict stays correct and the reduction counters are sane *)
-  let n = 7 in
+  let nvars, clauses = pigeonhole 7 in
   let s = Sat.create () in
-  let p =
-    Array.init n (fun _ -> Array.init (n - 1) (fun _ -> Sat.new_var s))
-  in
-  for i = 0 to n - 1 do
-    Sat.add_clause s (Array.to_list p.(i))
+  for _ = 1 to nvars do
+    ignore (Sat.new_var s)
   done;
-  for h = 0 to n - 2 do
-    for i = 0 to n - 1 do
-      for j = i + 1 to n - 1 do
-        Sat.add_clause s [ -p.(i).(h); -p.(j).(h) ]
-      done
-    done
-  done;
+  List.iter (Sat.add_clause s) clauses;
   Alcotest.(check bool) "pigeonhole unsat" true (Sat.solve s = Sat.Unsat);
   let st = Sat.stats s in
   Alcotest.(check bool) "conflicts counted" true (st.Sat.n_conflicts > 0);
@@ -400,6 +407,90 @@ let test_sat_learnt_db_reduction () =
   Alcotest.(check bool) "learnt DB was reduced" true (st.Sat.n_removed > 0);
   Alcotest.(check bool) "removed at most created" true
     (st.Sat.n_removed < st.Sat.n_learnts)
+
+(* oracle: [Sat] against the list-based reference solver it replaced
+   ([Sat_ref], test-only).  The two must follow the same search, so
+   results, every model value and all five stats counters agree after
+   each incremental round of solve -> read model -> reset -> block the
+   model -> solve.  Also returns [Sat]'s stats after the last round. *)
+let same_as_reference ~nvars ~rounds (clauses : int list list) =
+  let s = Sat.create () and r = Sat_ref.create () in
+  for _ = 1 to nvars do
+    ignore (Sat.new_var s);
+    ignore (Sat_ref.new_var r)
+  done;
+  List.iter
+    (fun c ->
+      Sat.add_clause s c;
+      Sat_ref.add_clause r c)
+    clauses;
+  let same = ref true and round = ref 0 and st_last = ref (Sat.stats s) in
+  while !same && !round < rounds do
+    incr round;
+    let a = Sat.solve s and b = Sat_ref.solve r in
+    let st = Sat.stats s and sr = Sat_ref.stats r in
+    st_last := st;
+    same :=
+      (a = Sat.Sat) = (b = Sat_ref.Sat)
+      && st.Sat.n_conflicts = sr.Sat_ref.n_conflicts
+      && st.Sat.n_decisions = sr.Sat_ref.n_decisions
+      && st.Sat.n_propagations = sr.Sat_ref.n_propagations
+      && st.Sat.n_learnts = sr.Sat_ref.n_learnts
+      && st.Sat.n_removed = sr.Sat_ref.n_removed;
+    if !same && a = Sat.Sat then begin
+      let block = ref [] in
+      for v = nvars downto 1 do
+        let x = Sat.model_value s v in
+        if x <> Sat_ref.model_value r v then same := false;
+        block := (if x then -v else v) :: !block
+      done;
+      Sat.reset s;
+      Sat_ref.reset r;
+      Sat.add_clause s !block;
+      Sat_ref.add_clause r !block
+    end
+  done;
+  (* recycle both so later cases also run on scrubbed instances *)
+  Sat.release s;
+  Sat_ref.release r;
+  (!same, !st_last)
+
+let gen_cnf ~vars ~len ~clauses =
+  let open QCheck.Gen in
+  int_range (fst vars) (snd vars) >>= fun nvars ->
+  let gen_lit = map2 (fun v b -> if b then v else -v) (int_range 1 nvars) bool in
+  let gen_clause = list_size (int_range (fst len) (snd len)) gen_lit in
+  let lo, hi = clauses nvars in
+  list_size (int_range lo hi) gen_clause >>= fun cs ->
+  (* repeat some clauses verbatim *)
+  list_size (int_range 0 3) (oneofl ([] :: cs)) >>= fun dups ->
+  int_range 1 5 >|= fun rounds -> (nvars, rounds, cs @ dups)
+
+let arb_cnf ~vars ~len ~clauses =
+  QCheck.make (gen_cnf ~vars ~len ~clauses)
+    ~print:(fun (nvars, rounds, cs) ->
+      Printf.sprintf "nvars=%d rounds=%d [%s]" nvars rounds
+        (String.concat "; "
+           (List.map (fun c -> String.concat " " (List.map string_of_int c)) cs)))
+
+let prop_sat_matches_reference =
+  QCheck.Test.make ~name:"same search as the reference solver" ~count:400
+    (arb_cnf ~vars:(3, 12) ~len:(1, 6) ~clauses:(fun _ -> (1, 40)))
+    (fun (nvars, rounds, cs) -> fst (same_as_reference ~nvars ~rounds cs))
+
+(* random 3-CNF near the satisfiability threshold: long searches with
+   restarts and long learnt clauses *)
+let prop_sat_matches_reference_hard =
+  QCheck.Test.make ~name:"same search as reference (hard)" ~count:40
+    (arb_cnf ~vars:(80, 120) ~len:(3, 3) ~clauses:(fun n -> (4 * n, 9 * n / 2)))
+    (fun (nvars, rounds, cs) -> fst (same_as_reference ~nvars ~rounds cs))
+
+let test_sat_reference_db_reduction () =
+  (* the instance of "learnt DB reduction", on which reduce_db fires *)
+  let nvars, clauses = pigeonhole 7 in
+  let same, st = same_as_reference ~nvars ~rounds:1 clauses in
+  Alcotest.(check bool) "same search" true same;
+  Alcotest.(check bool) "learnt DB was reduced" true (st.Sat.n_removed > 0)
 
 (* property: encoder verdict matches direct evaluation search over small
    boolean-only formulas *)
@@ -524,6 +615,7 @@ let prop_cardinality_matches_eval =
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_sat_matches_bruteforce; prop_sat_model_satisfies;
+      prop_sat_matches_reference; prop_sat_matches_reference_hard;
       prop_encode_matches_eval; prop_cardinality_matches_eval ]
 
 let () =
@@ -541,6 +633,8 @@ let () =
           Alcotest.test_case "incremental" `Quick test_sat_incremental;
           Alcotest.test_case "learnt DB reduction" `Quick
             test_sat_learnt_db_reduction;
+          Alcotest.test_case "reference: DB reduction" `Quick
+            test_sat_reference_db_reduction;
         ] );
       ( "cardinality",
         [
