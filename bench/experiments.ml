@@ -1662,24 +1662,23 @@ let fuzz ?(quick = false) () =
            ]))
 
 (* ------------------------------------------------------------------ *)
-(* Multicore engine: analysis + fuzzing at jobs = 1/2/4/8              *)
+(* Multicore engine: fuzz campaigns at jobs = 1/2/4/8                  *)
 (* ------------------------------------------------------------------ *)
 
-(** Multicore scaling experiment.  Runs the catalog analysis and a
-    fuzzing sweep (repaired apps plus the unrepaired tournament
-    baseline) at jobs = 1/2/4/8 over the same domain pool the CLI's
-    [--jobs] flag uses, asserts every parallel run is bit-identical to
-    the jobs=1 baseline — resolutions, flagged pairs, patched specs,
-    failing-seed sets and first counterexample traces — and writes the
-    per-jobs speedup rows to [BENCH_PARALLEL.json].  The header records
+(** Multicore scaling experiment.  Runs a fuzzing sweep (repaired apps
+    plus the unrepaired tournament baseline) at jobs = 1/2/4/8 over the
+    same domain pool the CLI's [fuzz --jobs] flag uses, asserts every
+    parallel run is bit-identical to the jobs=1 baseline — failing-seed
+    sets and first counterexample traces — and writes the per-jobs
+    speedup rows to [BENCH_PARALLEL.json].  The analysis itself is
+    sequential and is not measured here.  The header records
     [host_cores]: on a single-core container the domains serialize and
     speedup stays near 1.0x, so the identity assertions are the portable
     part of the experiment and the speedups are meaningful only when
     [host_cores] exceeds the jobs level. *)
 let parallel ?(quick = false) () =
-  let open Ipa_core in
   let open Ipa_check in
-  pr "== Multicore engine: analysis + fuzzing at jobs = 1/2/4/8 ==@.";
+  pr "== Multicore engine: fuzz campaigns at jobs = 1/2/4/8 ==@.";
   let apps =
     if quick then
       List.filter (fun (n, _) -> n = "ticket" || n = "tournament") catalog_apps
@@ -1687,13 +1686,6 @@ let parallel ?(quick = false) () =
   in
   let fuzz_runs = if quick then 24 else 120 in
   let teeth_runs = if quick then 24 else 50 in
-  let analysis_at jobs =
-    time_it (fun () ->
-        List.map
-          (fun (_, mk) ->
-            analysis_summary (Ipa.run ~jobs ~ctx:(Anactx.create ()) (mk ())))
-          apps)
-  in
   (* everything a campaign reports except wall time *)
   let fuzz_summary (r : Fuzz.report) =
     ( r.Fuzz.app,
@@ -1716,42 +1708,31 @@ let parallel ?(quick = false) () =
                  ~stop_on_failure:false ~jobs ()))
           campaigns)
   in
-  pr "%-6s %12s %12s %12s %9s %6s@." "jobs" "analysis[s]" "fuzz[s]" "total[s]"
-    "speedup" "ident";
+  pr "%-6s %12s %9s %6s@." "jobs" "fuzz[s]" "speedup" "ident";
   let base = ref None in
   let rows = ref [] in
   let jobs4_speedup = ref 1.0 in
   List.iter
     (fun jobs ->
-      let a_sum, a_s = analysis_at jobs in
       let f_sum, f_s = fuzz_at jobs in
       (match !base with
-      | None -> base := Some (a_sum, f_sum, a_s +. f_s)
-      | Some (a0, f0, _) ->
-          if a_sum <> a0 then
-            failwith
-              (Fmt.str
-                 "parallel: analysis at jobs=%d diverged from jobs=1" jobs);
+      | None -> base := Some (f_sum, f_s)
+      | Some (f0, _) ->
           if f_sum <> f0 then
             failwith
               (Fmt.str
                  "parallel: fuzzing at jobs=%d diverged from jobs=1" jobs));
-      let total = a_s +. f_s in
-      let base_total =
-        match !base with Some (_, _, t) -> t | None -> total
+      let speedup =
+        match !base with Some (_, t0) -> t0 /. f_s | None -> 1.0
       in
-      let speedup = base_total /. total in
       if jobs = 4 then jobs4_speedup := speedup;
-      pr "%-6d %12.3f %12.3f %12.3f %8.2fx %6s@." jobs a_s f_s total speedup
-        "yes";
+      pr "%-6d %12.3f %8.2fx %6s@." jobs f_s speedup "yes";
       let row =
         bench_row ~experiment:"parallel"
           [
             ("jobs", I jobs);
             ("host_cores", I (Domain.recommended_domain_count ()));
-            ("analysis_s", F a_s);
             ("fuzz_s", F f_s);
-            ("wall_s", F total);
             ("speedup", Fd (speedup, 2));
             ("identical", B true);
           ]
@@ -1773,7 +1754,7 @@ let parallel ?(quick = false) () =
     if !jobs4_speedup < 1.0 then
       failwith
         (Fmt.str
-           "parallel: jobs=4 is %.2fx on a %d-core host — the fan-out \
+           "parallel: jobs=4 is %.2fx on a %d-core host — sharded fuzzing \
             must not lose to sequential when the cores exist"
            !jobs4_speedup cores)
   end
@@ -1784,7 +1765,7 @@ let parallel ?(quick = false) () =
       cores;
   pr
     "@.(every jobs level produced bit-identical\
-     @. reports and failing-seed sets — parallelism is observably free.\
+     @. failing-seed sets and traces — parallelism is observably free.\
      @. host_cores=%d: speedups only materialize when the host grants more\
      @. cores than 1.)@."
     cores
@@ -1796,12 +1777,11 @@ let parallel ?(quick = false) () =
 (** Edit-loop benchmark for the incremental analysis (the [serve]
     workflow, measured through the library API).  Grows Twitter's pair
     matrix with {!Ipa_check.Specmut.grow} (same signature, so the
-    context survives), warms two persistent sessions (jobs=1 and
-    jobs=4), then applies a stream of cumulative single-operation edits;
-    after each edit the spec is re-analyzed in the warm sessions and
-    from scratch in a cold one.  Asserts every report bit-identical
-    (warm vs cold, at both jobs levels) and that the warm sessions'
-    total SAT solves stay within 20% of from-scratch — the
+    context survives), warms a persistent session, then applies a
+    stream of cumulative single-operation edits; after each edit the
+    spec is re-analyzed in the warm session and from scratch in a cold
+    one.  Asserts every report bit-identical (warm vs cold) and that the
+    warm session's total SAT solves stay within 20% of from-scratch — the
     content-addressed obligation cache must confine re-solving to the
     obligations each edit actually reaches.  Writes one row per edit to
     [BENCH_INCR.json]. *)
@@ -1818,11 +1798,10 @@ let incr ?(quick = false) () =
   pr "spec: twitter grown to %d operations (%d pairs), %d edits@." n_ops
     (n_ops * (n_ops + 1) / 2)
     edits;
-  let ctx1 = Anactx.create () and ctx4 = Anactx.create () in
+  let ctx1 = Anactx.create () in
   let r0, warm_s =
-    time_it (fun () -> Ipa.run ~max_iterations ~ctx:ctx1 ~jobs:1 spec)
+    time_it (fun () -> Ipa.run ~max_iterations ~ctx:ctx1 spec)
   in
-  ignore (Ipa.run ~max_iterations ~ctx:ctx4 ~jobs:4 spec);
   pr "warm-up: %d solves, %d resolutions, %.2fs@."
     (Anactx.stats ctx1).Anactx.sat_calls
     (List.length r0.Ipa.resolutions)
@@ -1840,26 +1819,18 @@ let incr ?(quick = false) () =
       and ch0 = s1.Anactx.case_hits
       and cm0 = s1.Anactx.case_misses in
       let r_inc, inc_s =
-        time_it (fun () -> Ipa.run ~max_iterations ~ctx:ctx1 ~jobs:1 espec)
-      in
-      let r_inc4, _ =
-        time_it (fun () -> Ipa.run ~max_iterations ~ctx:ctx4 ~jobs:4 espec)
+        time_it (fun () -> Ipa.run ~max_iterations ~ctx:ctx1 espec)
       in
       let ctx_cold = Anactx.create () in
       let r_scr, scr_s =
-        time_it (fun () ->
-            Ipa.run ~max_iterations ~ctx:ctx_cold ~jobs:1 espec)
+        time_it (fun () -> Ipa.run ~max_iterations ~ctx:ctx_cold espec)
       in
-      let str_inc = Report.report_to_string r_inc in
-      if str_inc <> Report.report_to_string r_scr then
+      if Report.report_to_string r_inc <> Report.report_to_string r_scr then
         failwith
           (Fmt.str
              "incr: edit %d (%s): warm re-analysis diverged from \
               from-scratch"
              i name);
-      if Report.report_to_string r_inc4 <> str_inc then
-        failwith
-          (Fmt.str "incr: edit %d (%s): jobs=4 diverged from jobs=1" i name);
       let s1 = Anactx.stats ctx1 in
       let solves_inc = s1.Anactx.sat_calls - solves0 in
       let solves_scr = (Anactx.stats ctx_cold).Anactx.sat_calls in
@@ -1917,7 +1888,7 @@ let incr ?(quick = false) () =
   pr
     "@.(warm re-analysis after a single-operation\
      @. edit solved %.1f%% of the from-scratch queries (bound 20%%), with\
-     @. reports bit-identical to from-scratch at jobs=1 and jobs=4.)@."
+     @. reports bit-identical to from-scratch.)@."
     (100. *. total_ratio)
 
 (* ------------------------------------------------------------------ *)

@@ -18,11 +18,11 @@
 
     Options: [--search-rules] lets the repair search propose convergence
     rules beyond the specification's; [--policy fewest|prefer:<op>]
-    selects among repair solutions; [--jobs N] (on [analyze] and
-    [fuzz]) spreads the pair checks / fuzz runs over a domain pool —
-    defaulting to the machine's recommended domain count (capped), with
-    the [IPA_JOBS] environment variable overriding.  Results are
-    bit-identical at every jobs level. *)
+    selects among repair solutions; [--jobs N] (on [fuzz]) shards the
+    fuzz runs over a domain pool — defaulting to the machine's
+    recommended domain count (capped), with the [IPA_JOBS] environment
+    variable overriding.  Results are bit-identical at every jobs
+    level.  The analysis itself is sequential. *)
 
 open Cmdliner
 open Ipa_spec
@@ -30,7 +30,7 @@ open Ipa_core
 
 let load_spec = Serve.load_spec
 
-(* the shared [--jobs N] option: CLI flag beats IPA_JOBS beats the
+(* [fuzz]'s [--jobs N] option: CLI flag beats IPA_JOBS beats the
    machine's recommended domain count; always clamped to the pool cap *)
 let jobs_arg =
   Arg.(
@@ -38,7 +38,7 @@ let jobs_arg =
     & opt (some int) None
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Worker domains for the parallel phases (default: \
+          "Worker domains for the fuzz campaign (default: \
            $(b,IPA_JOBS) if set, else the machine's recommended domain \
            count, capped).  Results are bit-identical at every level.")
 
@@ -82,18 +82,17 @@ let analyze_cmd =
             "Print solver and cache statistics (SAT calls, conflicts, \
              cache hit rates, pruning rates, per-pair wall time).")
   in
-  let run spec_path search_rules policy stats jobs =
+  let run spec_path search_rules policy stats =
     let spec = load_spec spec_path in
     let report =
-      Ipa.run ~policy:(policy_of_string policy) ~search_rules
-        ~jobs:(resolve_jobs jobs) spec
+      Ipa.run ~policy:(policy_of_string policy) ~search_rules spec
     in
     Fmt.pr "%a@." Report.pp_report report;
     if stats then Fmt.pr "@.%a@." Report.pp_stats report
   in
   Cmd.v
     (Cmd.info "analyze" ~doc:"Run the full IPA analysis loop.")
-    Term.(const run $ spec_arg $ search_rules $ policy $ stats $ jobs_arg)
+    Term.(const run $ spec_arg $ search_rules $ policy $ stats)
 
 let diagnose_cmd =
   let spec_arg =
@@ -440,9 +439,6 @@ let fuzz_cmd =
       $ reads_arg $ quick_arg $ replay_arg $ out_arg $ jobs_arg)
 
 let serve_cmd =
-  let run jobs =
-    Serve.serve ~jobs:(resolve_jobs jobs) stdin stdout
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
@@ -452,7 +448,7 @@ let serve_cmd =
           re-analysis re-solves only the proof obligations the edit \
           invalidated and answers the rest from cache.  Send $(b,help) \
           for the protocol.")
-    Term.(const run $ jobs_arg)
+    Term.(const Serve.serve $ const stdin $ const stdout)
 
 let main =
   Cmd.group

@@ -65,22 +65,7 @@ type t = {
   case_tbl : (Oblig.key, Oblig.witness option) Hashtbl.t;
       (** whole-case witness extractions ([k_clause = -1]) — replaying
           the exact solver query keeps reports bit-identical *)
-  mutable frozen : ro option;
-      (** read-only snapshot of another context's caches, consulted on
-          a private-table miss; see {!freeze}/{!share} *)
   stats : stats;
-}
-
-(** An immutable snapshot of a context's caches.  Workers of a parallel
-    scan all {!share} one snapshot: reads of a frozen [Hashtbl] from
-    many domains are safe precisely because nobody writes it — every
-    insertion goes to the sharing worker's private tables instead. *)
-and ro = {
-  ro_ground : (Ast.formula * Ground.domain, Ground.gformula) Hashtbl.t;
-  ro_seq : (verdict_key, bool) Hashtbl.t;
-  ro_intent : (verdict_key, bool) Hashtbl.t;
-  ro_oblig : (Oblig.key, bool) Hashtbl.t;
-  ro_case : (Oblig.key, Oblig.witness option) Hashtbl.t;
 }
 
 (** Everything a per-operation verdict can depend on besides the fixed
@@ -128,107 +113,8 @@ let create ?(cache = true) ?(prune = true) ?(decompose = true) () =
     intent_tbl = Hashtbl.create 64;
     oblig_tbl = Hashtbl.create 256;
     case_tbl = Hashtbl.create 64;
-    frozen = None;
     stats = fresh_stats ();
   }
-
-(** A context with the same cache/prune switches as [like] but empty
-    caches and zeroed counters — per-domain state for parallel analysis
-    (the mutable hashtables are not domain-safe and must never be
-    shared; a {!frozen} snapshot may be). *)
-let fresh ~(like : t) : t =
-  create ~cache:like.cache ~prune:like.prune ~decompose:like.decompose ()
-
-(** Snapshot [t]'s caches for read-only sharing.  The copies belong to
-    the snapshot alone: [t] may keep mutating its live tables. *)
-let freeze (t : t) : ro =
-  {
-    ro_ground = Hashtbl.copy t.ground_tbl;
-    ro_seq = Hashtbl.copy t.seq_tbl;
-    ro_intent = Hashtbl.copy t.intent_tbl;
-    ro_oblig = Hashtbl.copy t.oblig_tbl;
-    ro_case = Hashtbl.copy t.case_tbl;
-  }
-
-(** Point [t]'s miss path at a frozen snapshot (replacing any previous
-    one).  [t] itself stays private to its worker. *)
-let share (t : t) (ro : ro) : unit = t.frozen <- Some ro
-
-(** Fold [child]'s counters (and per-pair wall times) into [into]. *)
-let merge_stats ~(into : t) (child : t) : unit =
-  let a = into.stats and b = child.stats in
-  a.sat_calls <- a.sat_calls + b.sat_calls;
-  a.sat_conflicts <- a.sat_conflicts + b.sat_conflicts;
-  a.sat_decisions <- a.sat_decisions + b.sat_decisions;
-  a.sat_propagations <- a.sat_propagations + b.sat_propagations;
-  a.sat_learnts <- a.sat_learnts + b.sat_learnts;
-  a.sat_removed <- a.sat_removed + b.sat_removed;
-  a.sat_seconds <- a.sat_seconds +. b.sat_seconds;
-  a.ground_hits <- a.ground_hits + b.ground_hits;
-  a.ground_misses <- a.ground_misses + b.ground_misses;
-  a.verdict_hits <- a.verdict_hits + b.verdict_hits;
-  a.verdict_misses <- a.verdict_misses + b.verdict_misses;
-  a.cands_generated <- a.cands_generated + b.cands_generated;
-  a.cands_pruned <- a.cands_pruned + b.cands_pruned;
-  a.cands_checked <- a.cands_checked + b.cands_checked;
-  a.pairs_checked <- a.pairs_checked + b.pairs_checked;
-  a.oblig_hits <- a.oblig_hits + b.oblig_hits;
-  a.oblig_misses <- a.oblig_misses + b.oblig_misses;
-  a.case_hits <- a.case_hits + b.case_hits;
-  a.case_misses <- a.case_misses + b.case_misses;
-  Hashtbl.iter
-    (fun pair dt ->
-      let prev =
-        Option.value ~default:0.0 (Hashtbl.find_opt a.pair_seconds pair)
-      in
-      Hashtbl.replace a.pair_seconds pair (prev +. dt))
-    b.pair_seconds;
-  a.total_seconds <- a.total_seconds +. b.total_seconds
-
-(** Move [child]'s cache entries and counters into [into], leaving
-    [child] empty (tables cleared, counters zeroed, snapshot dropped).
-    After a parallel scan the parent absorbs every worker, so the next
-    {!freeze} hands all of this round's discoveries to all of the next
-    round's workers — without absorption each worker re-derives what
-    its siblings already paid for.  Zeroing [child]'s counters keeps a
-    later {!merge_stats} of the same child (e.g. the pool teardown's
-    final sweep) from double-counting this round's work. *)
-let absorb ~(into : t) (child : t) : unit =
-  let move src dst =
-    Hashtbl.iter
-      (fun k v -> if not (Hashtbl.mem dst k) then Hashtbl.add dst k v)
-      src;
-    Hashtbl.reset src
-  in
-  move child.ground_tbl into.ground_tbl;
-  move child.seq_tbl into.seq_tbl;
-  move child.intent_tbl into.intent_tbl;
-  move child.oblig_tbl into.oblig_tbl;
-  move child.case_tbl into.case_tbl;
-  child.frozen <- None;
-  merge_stats ~into child;
-  let s = child.stats in
-  s.sat_calls <- 0;
-  s.sat_conflicts <- 0;
-  s.sat_decisions <- 0;
-  s.sat_propagations <- 0;
-  s.sat_learnts <- 0;
-  s.sat_removed <- 0;
-  s.sat_seconds <- 0.0;
-  s.ground_hits <- 0;
-  s.ground_misses <- 0;
-  s.verdict_hits <- 0;
-  s.verdict_misses <- 0;
-  s.cands_generated <- 0;
-  s.cands_pruned <- 0;
-  s.cands_checked <- 0;
-  s.pairs_checked <- 0;
-  s.oblig_hits <- 0;
-  s.oblig_misses <- 0;
-  s.case_hits <- 0;
-  s.case_misses <- 0;
-  Hashtbl.reset s.pair_seconds;
-  s.total_seconds <- 0.0
 
 let stats t = t.stats
 let prune_enabled = function Some t -> t.prune | None -> false
@@ -238,26 +124,12 @@ let decompose_enabled = function Some t -> t.decompose | None -> false
 (* Cache operations (all tolerate a missing context)                   *)
 (* ------------------------------------------------------------------ *)
 
-(* private table first, then the shared frozen snapshot (a frozen hit
-   is still a hit — the work was saved); inserts go to the private
-   table only, so the snapshot stays read-only across domains *)
-let frozen_find (c : t) (proj : ro -> ('k, 'v) Hashtbl.t) (key : 'k) :
-    'v option =
-  match c.frozen with
-  | None -> None
-  | Some ro -> Hashtbl.find_opt (proj ro) key
-
 let ground (ctx : t option) ~sg ~consts ~dom (f : Ast.formula) :
     Ground.gformula =
   match ctx with
   | Some c when c.cache -> (
       let key = (f, dom) in
-      let cached =
-        match Hashtbl.find_opt c.ground_tbl key with
-        | Some _ as hit -> hit
-        | None -> frozen_find c (fun ro -> ro.ro_ground) key
-      in
-      match cached with
+      match Hashtbl.find_opt c.ground_tbl key with
       | Some g ->
           c.stats.ground_hits <- c.stats.ground_hits + 1;
           g
@@ -286,14 +158,8 @@ let cached_verdict (ctx : t option) which (spec : Types.t)
   match ctx with
   | Some c when c.cache -> (
       let tbl = match which with `Seq -> c.seq_tbl | `Intent -> c.intent_tbl in
-      let proj ro = match which with `Seq -> ro.ro_seq | `Intent -> ro.ro_intent in
       let key = verdict_key spec base cur in
-      let cached =
-        match Hashtbl.find_opt tbl key with
-        | Some _ as hit -> hit
-        | None -> frozen_find c proj key
-      in
-      match cached with
+      match Hashtbl.find_opt tbl key with
       | Some v ->
           c.stats.verdict_hits <- c.stats.verdict_hits + 1;
           v
@@ -307,19 +173,13 @@ let cached_verdict (ctx : t option) which (spec : Types.t)
       f ()
   | None -> f ()
 
-(* memoize under an obligation key: private table, then frozen
-   snapshot, then compute-and-insert — same discipline as the verdict
-   caches, so parallel workers share a frozen snapshot safely *)
+(* memoize under an obligation key: same discipline as the verdict
+   caches *)
 let oblig_lookup (ctx : t option) (key : Oblig.key) (f : unit -> bool) : bool
     =
   match ctx with
   | Some c when c.cache -> (
-      let cached =
-        match Hashtbl.find_opt c.oblig_tbl key with
-        | Some _ as hit -> hit
-        | None -> frozen_find c (fun ro -> ro.ro_oblig) key
-      in
-      match cached with
+      match Hashtbl.find_opt c.oblig_tbl key with
       | Some v ->
           c.stats.oblig_hits <- c.stats.oblig_hits + 1;
           v
@@ -333,29 +193,6 @@ let oblig_lookup (ctx : t option) (key : Oblig.key) (f : unit -> bool) : bool
       f ()
   | None -> f ()
 
-(** Is this obligation's verdict already cached (private table or
-    shared snapshot)?  A pure query: no counters move — the eventual
-    {!oblig_lookup} that consumes the entry counts the hit.  The
-    parallel scan uses it to keep cached obligations out of the
-    fan-out: a warm re-scan then crosses no barrier at all. *)
-let oblig_cached (ctx : t option) (key : Oblig.key) : bool =
-  match ctx with
-  | Some c when c.cache ->
-      Hashtbl.mem c.oblig_tbl key
-      || frozen_find c (fun ro -> ro.ro_oblig) key <> None
-  | _ -> false
-
-(** Seed an obligation verdict computed elsewhere (a parallel worker)
-    into the private table, without touching the hit/miss counters —
-    the computing context already counted the miss.  Lets the parent of
-    a fan-out record a block's verdicts directly instead of paying a
-    snapshot copy per block. *)
-let oblig_put (ctx : t option) (key : Oblig.key) (v : bool) : unit =
-  match ctx with
-  | Some c when c.cache ->
-      if not (Hashtbl.mem c.oblig_tbl key) then Hashtbl.add c.oblig_tbl key v
-  | _ -> ()
-
 (* memoize a whole-case witness extraction.  The stored value is the
    exact result of the deterministic solver query, so replays from the
    cache keep reports bit-identical to a from-scratch run *)
@@ -363,12 +200,7 @@ let case_lookup (ctx : t option) (key : Oblig.key)
     (f : unit -> Oblig.witness option) : Oblig.witness option =
   match ctx with
   | Some c when c.cache -> (
-      let cached =
-        match Hashtbl.find_opt c.case_tbl key with
-        | Some _ as hit -> hit
-        | None -> frozen_find c (fun ro -> ro.ro_case) key
-      in
-      match cached with
+      match Hashtbl.find_opt c.case_tbl key with
       | Some v ->
           c.stats.case_hits <- c.stats.case_hits + 1;
           v

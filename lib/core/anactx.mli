@@ -8,7 +8,8 @@
 
     A context may be reused across runs (counters accumulate) but must
     not be shared between different specifications: the grounding cache
-    assumes signature and constants are fixed. *)
+    assumes signature and constants are fixed.  Its tables are plain
+    [Hashtbl]s, so a context belongs to one domain at a time. *)
 
 open Ipa_logic
 open Ipa_spec
@@ -46,42 +47,6 @@ type t
     either way. *)
 val create : ?cache:bool -> ?prune:bool -> ?decompose:bool -> unit -> t
 
-(** [fresh ~like] — a context with [like]'s cache/prune switches but
-    empty caches and zeroed counters.  The parallel analysis gives each
-    worker domain its own fresh context (the hashtables are not
-    domain-safe and must never be shared) and folds the counters back
-    with {!merge_stats}. *)
-val fresh : like:t -> t
-
-(** An immutable snapshot of a context's caches, safe to read from many
-    domains at once precisely because nobody writes it. *)
-type ro
-
-(** Snapshot [t]'s caches.  The copies belong to the snapshot alone:
-    [t] may keep mutating its live tables afterwards. *)
-val freeze : t -> ro
-
-(** [share t ro] points [t]'s cache-miss path at the snapshot: lookups
-    consult [t]'s private tables first, then [ro]; insertions go to the
-    private tables only.  Workers of a parallel scan each {!share} one
-    {!freeze} of the parent context, so siblings reuse everything the
-    parent has already paid for without any cross-domain mutation. *)
-val share : t -> ro -> unit
-
-(** [absorb ~into child] moves [child]'s cache entries (added when
-    absent) and counters into [into], leaving [child] with empty tables,
-    zeroed counters and no shared snapshot.  Run after each parallel
-    scan so the next {!freeze} carries every worker's discoveries;
-    zeroing keeps a later {!merge_stats} of the same child from
-    double-counting. *)
-val absorb : into:t -> t -> unit
-
-(** [merge_stats ~into child] adds [child]'s counters (and per-pair
-    wall times) into [into]'s statistics.  Summing the per-domain
-    contexts of a parallel run over a partition of the work yields the
-    same counter totals as one context that saw all of it. *)
-val merge_stats : into:t -> t -> unit
-
 val stats : t -> stats
 val prune_enabled : t option -> bool
 
@@ -118,14 +83,6 @@ val cached_verdict :
     specification edits and invalidate implicitly: an edited operation
     or clause changes the keys it reaches and leaves the rest hitting. *)
 val oblig_lookup : t option -> Oblig.key -> (unit -> bool) -> bool
-
-(** Seed an obligation verdict computed elsewhere (a parallel worker)
-    without touching the hit/miss counters. *)
-val oblig_put : t option -> Oblig.key -> bool -> unit
-
-(** Is this obligation's verdict already cached?  Pure query — no
-    counters move. *)
-val oblig_cached : t option -> Oblig.key -> bool
 
 (** Memoize a whole-case witness extraction (key's [k_clause] = -1).
     The stored value is the exact result of the deterministic solver

@@ -304,7 +304,8 @@ let oblig_solve ?ctx (spec : Types.t) (o1 : aop) (o2 : aop)
     (Effects.merge_writes spec w1 w2)
 
 (** One per-clause proof obligation of a pair, enumerated without solver
-    work and dischargeable independently (e.g. on a worker domain). *)
+    work and dischargeable on its own (the end-to-end benchmark times
+    each one separately). *)
 type oblig = {
   ob_o1 : aop;
   ob_o2 : aop;

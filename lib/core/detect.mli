@@ -67,7 +67,9 @@ val check_pair :
 (** One per-clause proof obligation of a pair: one (parameter
     unification × relevant invariant clause) SAT query, enumerable
     without solver work and dischargeable independently of its
-    siblings (e.g. on a worker domain). *)
+    siblings.  {!check_pair} does not use these; they let the
+    end-to-end benchmark ([perfbench/]) time each obligation on its
+    own. *)
 type oblig = {
   ob_o1 : aop;
   ob_o2 : aop;

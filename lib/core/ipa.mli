@@ -35,15 +35,13 @@ val compensations : report -> Compensation.t list
     [search_rules] lets repairs propose convergence rules;
     [max_iterations] bounds the loop.  [ctx] supplies the analysis
     caches and instrumentation (a fresh one with caching and pruning
-    enabled is created when absent).
+    enabled is created when absent).  Each iteration scans the pairs in
+    specification order and repairs the first conflict it finds.
 
-    [jobs] (default: the [IPA_JOBS] environment override, else 1)
-    spreads each iteration's pair checks over a domain pool: every
-    worker gets its own fresh context (per-domain caches), the first
-    conflict {e in specification pair order} is selected, and worker
-    counters are folded back into [ctx] — so the report's resolutions,
-    operations, rules and iteration count are bit-identical at every
-    [jobs] level, while wall time scales with cores. *)
+    [jobs] (default 1) is a compatibility parameter: [1] is the only
+    accepted value, any other raises [Invalid_argument].  It goes away
+    with the next change to the end-to-end benchmark, which still
+    passes [~jobs:1]. *)
 val run :
   ?policy:Repair.policy ->
   ?search_rules:bool ->
@@ -54,6 +52,6 @@ val run :
   Types.t ->
   report
 
-(** All conflicting pairs of the unmodified specification.  [jobs] as
-    in {!run}; the conflict list is in pair order at every level. *)
-val diagnose : ?jobs:int -> Types.t -> (string * string * Detect.witness) list
+(** All conflicting pairs of the unmodified specification, in pair
+    order. *)
+val diagnose : Types.t -> (string * string * Detect.witness) list

@@ -15,7 +15,6 @@
     spec <n>                      followed by n raw lines of spec text
     analyze                       run the IPA loop, print the report
     stats                         print cumulative solver/cache stats
-    jobs <n>                      set worker domains for later analyzes
     reset                         drop the analysis context (cold cache)
     help                          list commands
     quit                          end the session
@@ -42,17 +41,17 @@ type t = {
   mutable ctx : Anactx.t;
   mutable sig_key : (Ground.signature * (string * int) list) option;
   mutable last_report : string option;
-  mutable jobs : int;
 }
 
+(* [jobs] is a compatibility parameter, see {!Ipa.run} *)
 let create ?(jobs = 1) () : t =
+  if jobs <> 1 then invalid_arg "Serve.create: jobs must be 1";
   {
     spec = None;
     name = "-";
     ctx = Anactx.create ();
     sig_key = None;
     last_report = None;
-    jobs;
   }
 
 let catalog_spec = function
@@ -101,7 +100,7 @@ let analyze (t : t) : string list =
       and ch0 = s.case_hits
       and cm0 = s.case_misses in
       let t0 = Unix.gettimeofday () in
-      let report = Ipa.run ~ctx:t.ctx ~jobs:t.jobs spec in
+      let report = Ipa.run ~ctx:t.ctx spec in
       let dt = Unix.gettimeofday () -. t0 in
       let str = Report.report_to_string report in
       let changed =
@@ -142,7 +141,6 @@ let help_reply : string list =
     "  spec <n>              followed by n raw lines of spec text";
     "  analyze               run the IPA loop, print report + delta stats";
     "  stats                 cumulative solver/cache statistics";
-    "  jobs <n>              worker domains for later analyzes";
     "  reset                 drop the analysis context (cold cache)";
     "  quit                  end the session";
     "ok help";
@@ -189,12 +187,6 @@ let exec (t : t) ~(readline : unit -> string option) (line : string) :
             | Failure msg -> ([ "err spec " ^ msg ], true)))
   | [ "analyze" ] -> (analyze t, true)
   | [ "stats" ] -> (stats_reply t, true)
-  | [ "jobs"; n ] -> (
-      match int_of_string_opt n with
-      | None -> ([ "err jobs bad count" ], true)
-      | Some n ->
-          t.jobs <- max 1 (min Ipa_par.Pool.cap n);
-          ([ Fmt.str "ok jobs n=%d" t.jobs ], true))
   | [ "reset" ] ->
       t.ctx <- Anactx.create ();
       ([ "ok reset" ], true)
@@ -203,8 +195,8 @@ let exec (t : t) ~(readline : unit -> string option) (line : string) :
   | cmd :: _ -> ([ "err unknown command " ^ cmd ], true)
 
 (** Serve requests from [ic] to [oc] until [quit] or end of input. *)
-let serve ?(jobs = 1) (ic : in_channel) (oc : out_channel) : unit =
-  let t = create ~jobs () in
+let serve (ic : in_channel) (oc : out_channel) : unit =
+  let t = create () in
   let readline () = try Some (input_line ic) with End_of_file -> None in
   let rec loop () =
     match readline () with
@@ -222,8 +214,8 @@ let serve ?(jobs = 1) (ic : in_channel) (oc : out_channel) : unit =
   loop ()
 
 (** Run a whole scripted session (tests): requests in, replies out. *)
-let run_lines ?(jobs = 1) (lines : string list) : string list =
-  let t = create ~jobs () in
+let run_lines (lines : string list) : string list =
+  let t = create () in
   let input = ref lines in
   let readline () =
     match !input with

@@ -19,8 +19,7 @@
     order, so any caller whose per-item function is a pure function of
     the item (per-worker caches may memoize but must not change results)
     gets output independent of the schedule.  That is the contract the
-    parallel analysis and fuzzing layers build their bit-identical
-    guarantees on. *)
+    sharded fuzz campaigns build their bit-identical guarantees on. *)
 
 (* ------------------------------------------------------------------ *)
 (* Job-count policy                                                    *)
@@ -194,9 +193,5 @@ let map_worker (t : t) ~(f : worker:int -> 'a -> 'b) (xs : 'a list) : 'b list
 let map (t : t) (f : 'a -> 'b) (xs : 'a list) : 'b list =
   map_worker t ~f:(fun ~worker:_ x -> f x) xs
 
-let filter_map_worker (t : t) ~(f : worker:int -> 'a -> 'b option)
-    (xs : 'a list) : 'b list =
-  List.filter_map Fun.id (map_worker t ~f xs)
-
 let filter_map (t : t) (f : 'a -> 'b option) (xs : 'a list) : 'b list =
-  filter_map_worker t ~f:(fun ~worker:_ x -> f x) xs
+  List.filter_map Fun.id (map t f xs)

@@ -34,7 +34,8 @@ val with_pool : ?jobs:int -> (t -> 'a) -> 'a
 (** [map_worker p ~f xs] — order-preserving parallel map; [f] also
     receives the index of the worker executing the item ([0] is the
     caller, [1 .. jobs-1] the pooled domains), so callers can maintain
-    per-domain state (caches, contexts) without synchronization.  The
+    per-domain state (e.g. a fuzz environment) without
+    synchronization.  The
     first exception raised by any item is re-raised on the caller after
     the batch drains. *)
 val map_worker : t -> f:(worker:int -> 'a -> 'b) -> 'a list -> 'b list
@@ -45,15 +46,11 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Order-preserving parallel filter-map. *)
 val filter_map : t -> ('a -> 'b option) -> 'a list -> 'b list
 
-(** Like {!filter_map}, with the worker index. *)
-val filter_map_worker : t -> f:(worker:int -> 'a -> 'b option) -> 'a list -> 'b list
-
 (* ------------------------------------------------------------------ *)
 (* Job-count policy                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(** Hard cap on pool width (memory per worker context dominates past
-    this; see DESIGN.md §8). *)
+(** Hard cap on pool width (see DESIGN.md §8). *)
 val cap : int
 
 (** [Domain.recommended_domain_count ()] clamped to [\[1, cap\]] — the
@@ -61,9 +58,9 @@ val cap : int
 val recommended : unit -> int
 
 (** The [IPA_JOBS] environment override clamped to [\[1, cap\]], or [1]
-    when unset/unparsable — the default for library entry points
-    ({!Ipa_core.Ipa.run}, [Fuzz.campaign]), so embedded and test runs
-    stay sequential unless explicitly opted in. *)
+    when unset/unparsable — the default of [Fuzz.campaign], so
+    embedded and test runs stay sequential unless explicitly opted
+    in. *)
 val env_jobs : unit -> int
 
 (** [IPA_JOBS] when set, {!recommended} otherwise — the CLI default. *)

@@ -709,13 +709,13 @@ let test_stats_counters () =
     (Astring.String.is_infix ~affix:"SAT solves" printed)
 
 (* The solver's search is observable through the analysis counters.  Pin
-   them for from-scratch jobs=1 runs (at jobs>1 the scan speculates past
-   the first conflict), so a change to the SAT core that alters the
-   search — decisions, propagation order, learnt clauses — fails here. *)
+   them for from-scratch runs, so a change to the SAT core that alters
+   the search — decisions, propagation order, learnt clauses — fails
+   here. *)
 let test_search_pinned () =
   List.iter
     (fun (name, spec, expect) ->
-      let r = Ipa.run ~ctx:(Anactx.create ()) ~jobs:1 (spec ()) in
+      let r = Ipa.run ~ctx:(Anactx.create ()) (spec ()) in
       let s = r.Ipa.stats in
       Alcotest.(check (list int))
         (name ^ ": calls/props/conflicts/decisions/learnts/removed")
@@ -733,6 +733,17 @@ let test_search_pinned () =
       ("twitter", Catalog.twitter, [ 434; 63907; 869; 1441; 146; 0 ]);
       ("tpcw", Catalog.tpcw, [ 108; 14949; 166; 340; 9; 0 ]);
     ]
+
+(* the analysis is sequential: [jobs] survives only as a compatibility
+   parameter whose one accepted value is 1 *)
+let test_jobs_rejected () =
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "Ipa.run ~jobs:2" (fun () -> ignore (Ipa.run ~jobs:2 (mini ())));
+  raises "Serve.create ~jobs:2" (fun () -> ignore (Serve.create ~jobs:2 ()))
 
 let test_rule_choices_dedupe () =
   let spec = mini () in
@@ -1210,6 +1221,8 @@ let () =
           Alcotest.test_case "stats counters" `Quick test_stats_counters;
           Alcotest.test_case "search pinned (jobs=1)" `Quick
             test_search_pinned;
+          Alcotest.test_case "jobs other than 1 rejected" `Quick
+            test_jobs_rejected;
           Alcotest.test_case "rule choices deduplicated" `Quick
             test_rule_choices_dedupe;
           Alcotest.test_case "rules_equal is set equality" `Quick
